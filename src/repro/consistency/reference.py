@@ -7,9 +7,18 @@ cooperatively (no timing), producing
 
 * the expected final memory image — the simulator's DRAM must match it
   for deterministic workloads, giving an end-to-end correctness oracle;
-* a vector-clock data-race check — certifying that generated workloads
-  actually are DRF, so the protocols' relaxed behaviours (stale Valid
-  copies, non-atomic visibility windows) are legal.
+* a happens-before data-race check — certifying that generated
+  workloads actually are DRF, so the protocols' relaxed behaviours
+  (stale Valid copies, non-atomic visibility windows) are legal.
+
+Full vector clocks are kept only per thread and per sync variable
+(joined in place).  The last writer and the readers of a data word are
+recorded as epochs ``(tid, tick)`` taken right after the accessing
+thread's own tick, so "happens before clock C" is the single compare
+``tick <= C[tid]`` (the FastTrack observation, Flanagan & Freund,
+PLDI 2009).  That is exact here, not an approximation: clocks only
+grow, so the epoch test holds precisely when the full snapshot would
+have been ``<= C``.
 
 Synchronization edges recognized:
 
@@ -21,6 +30,7 @@ Synchronization edges recognized:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..workloads.trace import OpKind, Trace
@@ -42,14 +52,16 @@ class VectorClock:
         return vc
 
     def join(self, other: "VectorClock") -> None:
-        self.ticks = [max(a, b) for a, b in zip(self.ticks, other.ticks)]
+        """Join ``other`` into this clock in place (``ticks`` keeps its
+        identity, so callers may hold on to the list)."""
+        self.ticks[:] = map(max, self.ticks, other.ticks)
 
     def happens_before(self, other: "VectorClock") -> bool:
         return all(a <= b for a, b in zip(self.ticks, other.ticks))
 
 
 class _Thread:
-    __slots__ = ("tid", "trace", "pc", "clock", "release_pending", "spins")
+    __slots__ = ("tid", "trace", "pc", "clock", "release_pending")
 
     def __init__(self, tid: int, trace: Trace, nthreads: int):
         self.tid = tid
@@ -57,7 +69,6 @@ class _Thread:
         self.pc = 0
         self.clock = VectorClock(nthreads)
         self.release_pending = False
-        self.spins = 0
 
     @property
     def done(self) -> bool:
@@ -80,10 +91,8 @@ class ReferenceExecutor:
     """Cooperatively execute traces; detect races; compute final memory."""
 
     def __init__(self, traces: Sequence[Trace],
-                 check_races: bool = True,
                  max_steps: int = 50_000_000):
         self.traces = list(traces)
-        self.check_races = check_races
         self.max_steps = max_steps
 
     def run(self) -> ReferenceResult:
@@ -91,113 +100,111 @@ class ReferenceExecutor:
         threads = [_Thread(tid, trace, nthreads)
                    for tid, trace in enumerate(self.traces)]
         memory: Dict[int, int] = {}
-        sync_clock: Dict[int, VectorClock] = {}
-        last_writer: Dict[int, Tuple[int, VectorClock]] = {}
-        readers: Dict[int, List[Tuple[int, VectorClock]]] = {}
+        sync_clock: Dict[int, VectorClock] = defaultdict(
+            lambda: VectorClock(nthreads))
+        #: data word -> epoch ``(tid, tick)`` of its last plain write
+        last_writer: Dict[int, Tuple[int, int]] = {}
+        #: data word -> epochs of its plain reads since that write
+        readers: Dict[int, List[Tuple[int, int]]] = {}
         sync_addrs: Set[int] = set()
         races: List[str] = []
-
-        def tick(thread: _Thread) -> None:
-            thread.clock.ticks[thread.tid] += 1
-
-        def check_write(thread: _Thread, addr: int) -> None:
-            if not self.check_races or addr in sync_addrs:
-                return
-            writer = last_writer.get(addr)
-            if writer is not None and writer[0] != thread.tid and \
-                    not writer[1].happens_before(thread.clock):
-                races.append(f"W-W race on 0x{addr:x}: "
-                             f"t{writer[0]} vs t{thread.tid}")
-            for reader_tid, reader_clock in readers.get(addr, []):
-                if reader_tid != thread.tid and \
-                        not reader_clock.happens_before(thread.clock):
-                    races.append(f"R-W race on 0x{addr:x}: "
-                                 f"t{reader_tid} vs t{thread.tid}")
-            last_writer[addr] = (thread.tid, thread.clock.copy())
-            readers[addr] = []
-
-        def check_read(thread: _Thread, addr: int) -> None:
-            if not self.check_races or addr in sync_addrs:
-                return
-            writer = last_writer.get(addr)
-            if writer is not None and writer[0] != thread.tid and \
-                    not writer[1].happens_before(thread.clock):
-                races.append(f"W-R race on 0x{addr:x}: "
-                             f"t{writer[0]} vs t{thread.tid}")
-            readers.setdefault(addr, []).append(
-                (thread.tid, thread.clock.copy()))
-
-        def step(thread: _Thread) -> bool:
-            """Execute one op; returns False if the thread must yield."""
-            op = thread.trace[thread.pc]
-            if op.kind == OpKind.COMPUTE or op.kind == OpKind.ACQUIRE:
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.RELEASE:
-                thread.release_pending = True
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.LOAD:
-                tick(thread)
-                for addr in op.addrs:
-                    check_read(thread, addr)
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.STORE:
-                tick(thread)
-                release = thread.release_pending
-                for addr in op.addrs:
-                    if release:
-                        sync_addrs.add(addr)
-                        clock = sync_clock.setdefault(
-                            addr, VectorClock(nthreads))
-                        clock.join(thread.clock)
-                    else:
-                        check_write(thread, addr)
-                    memory[addr] = op.value
-                thread.release_pending = False
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.RMW:
-                tick(thread)
-                addr = op.addrs[0]
-                sync_addrs.add(addr)
-                clock = sync_clock.setdefault(addr, VectorClock(nthreads))
-                if op.acquire:
-                    thread.clock.join(clock)
-                old = memory.get(addr, 0)
-                memory[addr] = op.atomic.apply(old)
-                if op.release or not op.acquire:
-                    # plain atomics still order within the sync var
-                    clock.join(thread.clock)
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.SPIN_LOAD:
-                addr = op.addrs[0]
-                sync_addrs.add(addr)
-                if op.spin_until(memory.get(addr, 0)):
-                    clock = sync_clock.setdefault(
-                        addr, VectorClock(nthreads))
-                    thread.clock.join(clock)
-                    thread.pc += 1
-                    return True
-                thread.spins += 1
-                return False
-            raise AssertionError(f"unhandled {op.kind}")
+        max_steps = self.max_steps
+        load, store, rmw, spin_load, release_fence = (
+            OpKind.LOAD, OpKind.STORE, OpKind.RMW, OpKind.SPIN_LOAD,
+            OpKind.RELEASE)
+        neutral = (OpKind.COMPUTE, OpKind.ACQUIRE)
 
         steps = 0
         while True:
             progressed = False
             for thread in threads:
-                while not thread.done:
+                tid = thread.tid
+                trace = thread.trace
+                end = len(trace)
+                pc = thread.pc
+                clock = thread.clock
+                ticks = clock.ticks
+                while pc < end:
                     steps += 1
-                    if steps > self.max_steps:
+                    if steps > max_steps:
                         raise RuntimeError(
                             "reference execution exceeded step budget "
                             "(deadlocked synchronization?)")
-                    if not step(thread):
-                        break
+                    op = trace[pc]
+                    kind = op.kind
+                    if kind is load:
+                        tick = ticks[tid] + 1
+                        ticks[tid] = tick
+                        epoch = (tid, tick)
+                        for addr in op.addrs:
+                            if addr in sync_addrs:
+                                continue
+                            writer = last_writer.get(addr)
+                            if writer is not None and writer[0] != tid \
+                                    and writer[1] > ticks[writer[0]]:
+                                races.append(f"W-R race on 0x{addr:x}: "
+                                             f"t{writer[0]} vs t{tid}")
+                            reads = readers.get(addr)
+                            if reads is None:
+                                readers[addr] = [epoch]
+                            else:
+                                reads.append(epoch)
+                    elif kind is store:
+                        tick = ticks[tid] + 1
+                        ticks[tid] = tick
+                        value = op.value
+                        if thread.release_pending:
+                            # release-store: publish to the sync variable
+                            for addr in op.addrs:
+                                sync_addrs.add(addr)
+                                sync_clock[addr].join(clock)
+                                memory[addr] = value
+                            thread.release_pending = False
+                        else:
+                            epoch = (tid, tick)
+                            for addr in op.addrs:
+                                memory[addr] = value
+                                if addr in sync_addrs:
+                                    continue
+                                writer = last_writer.get(addr)
+                                if writer is not None and writer[0] != tid \
+                                        and writer[1] > ticks[writer[0]]:
+                                    races.append(f"W-W race on 0x{addr:x}: "
+                                                 f"t{writer[0]} vs t{tid}")
+                                reads = readers.get(addr)
+                                if reads:
+                                    for reader, read_tick in reads:
+                                        if reader != tid and \
+                                                read_tick > ticks[reader]:
+                                            races.append(
+                                                f"R-W race on 0x{addr:x}: "
+                                                f"t{reader} vs t{tid}")
+                                    reads.clear()
+                                last_writer[addr] = epoch
+                    elif kind is rmw:
+                        ticks[tid] += 1
+                        addr = op.addrs[0]
+                        sync_addrs.add(addr)
+                        published = sync_clock[addr]
+                        if op.acquire:
+                            clock.join(published)
+                        memory[addr] = op.atomic.apply(memory.get(addr, 0))
+                        if op.release or not op.acquire:
+                            # plain atomics still order within the sync var
+                            published.join(clock)
+                    elif kind is spin_load:
+                        addr = op.addrs[0]
+                        sync_addrs.add(addr)
+                        if not op.spin_until(memory.get(addr, 0)):
+                            break           # yield until someone writes
+                        clock.join(sync_clock[addr])
+                    elif kind is release_fence:
+                        thread.release_pending = True
+                    elif kind not in neutral:
+                        raise AssertionError(f"unhandled {kind}")
+                    pc += 1
                     progressed = True
+                thread.pc = pc
             if all(t.done for t in threads):
                 break
             if not progressed:

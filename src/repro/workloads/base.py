@@ -54,9 +54,12 @@ class Workload:
     def reference(self) -> ReferenceResult:
         """DRF-check the workload and return the expected final memory.
 
-        The reference executor seeds memory from ``initial_memory``; we
-        overlay it by prepending nothing — instead callers compare only
-        addresses the traces wrote, or use :meth:`expected_value`.
+        The reference executor runs the traces from all-zero memory (it
+        does not see ``initial_memory``).  Its final image is then
+        merged over ``initial_memory``: words the traces write take the
+        executed value, words they never write keep their initial one.
+        Raises :class:`~repro.consistency.reference.DataRace` if the
+        traces are not DRF.
         """
         result = assert_drf(self.all_threads())
         merged = dict(self.initial_memory)

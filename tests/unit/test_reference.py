@@ -24,6 +24,17 @@ def test_vector_clock_join():
     assert a.ticks == [3, 2]
 
 
+def test_vector_clock_join_is_in_place():
+    # the executor caches each thread's ``ticks`` list across joins
+    a, b = VectorClock(3), VectorClock(3)
+    a.ticks[:] = [1, 0, 4]
+    b.ticks[:] = [2, 3, 0]
+    ticks = a.ticks
+    a.join(b)
+    assert a.ticks is ticks and ticks == [2, 3, 4]
+    assert b.ticks == [2, 3, 0]
+
+
 def test_sequential_thread_final_memory():
     trace = [Op.store(0x100, 1), Op.store(0x100, 2), Op.load(0x100)]
     result = ReferenceExecutor([trace]).run()
@@ -72,6 +83,15 @@ def test_atomics_are_never_races():
     assert result.value(counter) == 12
 
 
+def test_plain_atomic_publishes_to_sync_variable():
+    # an RMW with neither acquire nor release still joins the thread's
+    # clock into the variable, so a later acquirer is ordered after it
+    flag = 0x200
+    t0 = [Op.store(0x100, 1), Op.rmw(flag, atomic_add(1))]
+    t1 = [Op.spin_ge(flag, 1), Op.load(0x100)]
+    assert not ReferenceExecutor([t0, t1]).run().races
+
+
 def test_atomic_max_applies():
     cell = 0x400
     threads = [[Op.rmw(cell, atomic_max(5))], [Op.rmw(cell, atomic_max(9))]]
@@ -98,6 +118,25 @@ def test_deadlock_detection():
     t0 = [Op.spin_ge(0x100, 1)]      # nobody ever writes the flag
     with pytest.raises(RuntimeError, match="deadlock"):
         ReferenceExecutor([t0]).run()
+
+
+def test_step_budget_exhaustion_raises():
+    # Every op is one step: a 3-op trace cannot finish within 2 steps.
+    trace = [Op.store(0x100, 1), Op.load(0x100), Op.compute(1)]
+    with pytest.raises(RuntimeError, match="exceeded step budget"):
+        ReferenceExecutor([trace], max_steps=2).run()
+    assert ReferenceExecutor([trace], max_steps=3).run().value(0x100) == 1
+
+
+def test_failed_spins_count_against_the_step_budget():
+    # A spin waiting on a later thread burns a step per failed attempt:
+    # failed spin, compute, rmw, then the spin succeeds on step 4.
+    flag = 0x200
+    t0 = [Op.spin_ge(flag, 1)]
+    t1 = [Op.compute(1), Op.rmw(flag, atomic_add(1), release=True)]
+    assert ReferenceExecutor([t0, t1], max_steps=4).run().value(flag) == 1
+    with pytest.raises(RuntimeError, match="exceeded step budget"):
+        ReferenceExecutor([t0, t1], max_steps=3).run()
 
 
 def test_transitive_happens_before():
@@ -169,3 +208,4 @@ def test_spin_join_sees_only_released_history():
     t1 = [Op.spin_ge(flag, 1), Op.load(data)]
     result = ReferenceExecutor([t0, t1]).run()
     assert any("0x100" in race for race in result.races)
+
