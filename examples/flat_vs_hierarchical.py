@@ -12,6 +12,7 @@ Run:  python examples/flat_vs_hierarchical.py
 """
 
 from repro.analysis import ExperimentRunner, format_traffic_stack
+from repro.sim.stats import StatsRegistry
 from repro.workloads import make_indirection
 
 
@@ -23,10 +24,15 @@ def main() -> None:
 
     print(f"{'config':<8}{'cycles':>12}{'bytes':>14}"
           f"{'LLC requests':>14}{'memory ok':>11}")
+    # requests received by every home (the Spandex LLC, or the GPU L2
+    # plus the L3 directory), summed over the home.<name>.requests
+    # groups of each cell's stats snapshot
+    requests_by_config = {
+        cell.config: StatsRegistry.from_snapshot(
+            cell.payload["stats"]).scope_total("requests")
+        for cell in runner.last_sweep.cells}
     for name, config_result in result.results.items():
-        requests = sum(
-            value for key, value in config_result.counters.items()
-            if key == "llc.deferred")
+        requests = requests_by_config[name]
         print(f"{name:<8}{config_result.cycles:>12,}"
               f"{config_result.network_bytes:>14,.0f}"
               f"{requests:>14,.0f}"

@@ -227,14 +227,13 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     Top-level so process pools can pickle it by reference.  Returns a
     JSON-safe dict (the cache's on-disk format).
 
-    ``trace_dir`` enables observability for the run and persists a
-    Chrome trace, a profiler snapshot, a health-metrics snapshot, and
+    ``trace_dir`` enables tracing and monitoring for the run and
+    persists a Chrome trace, a health and span snapshot, and
     Prometheus exposition text next to the cached result
-    (``<workload>-<config>-<key12>.trace.json`` / ``.profile.json`` /
-    ``.metrics.json`` / ``.prom``).  Tracing and monitoring are
-    passive, so the payload — and therefore the cache key — is
-    identical with or without them; artifacts are only (re)written
-    when the cell actually simulates.
+    (``<workload>-<config>-<key12>.trace.json`` / ``.metrics.json`` /
+    ``.prom``).  Tracing and monitoring are passive, so the payload —
+    and therefore the cache key — is identical with or without them;
+    artifacts are only (re)written when the cell actually simulates.
     """
     started = time.perf_counter()
     workload = spec.resolve_generator()(**spec.workload_kwargs())
@@ -266,8 +265,9 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
         "memory_ok": memory_ok,
         "wall_time": time.perf_counter() - started,
     }
-    if trace_dir is not None and system.tracer is not None:
-        from ..obs import write_chrome_trace
+    if trace_dir is not None:
+        from ..obs import (prometheus_text, registry_samples,
+                           stats_samples, write_chrome_trace)
         key12 = cell_key(spec, validate_memory, max_events)[:12]
         stem = f"{spec.workload}-{spec.config}-{key12}"
         root = Path(trace_dir)
@@ -277,29 +277,21 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
             "name": f"{spec.workload}/{spec.config}",
             "events": system.tracer.events(),
         }])
-        profile_path = root / f"{stem}.profile.json"
-        with open(profile_path, "w") as handle:
-            json.dump(system.profiler.snapshot(), handle, indent=1,
-                      sort_keys=True)
         payload["trace_artifact"] = str(trace_path)
-        payload["profile_artifact"] = str(profile_path)
-        if system.monitor is not None:
-            from ..obs import (prometheus_text, registry_samples,
-                               stats_samples)
-            metrics_path = root / f"{stem}.metrics.json"
-            with open(metrics_path, "w") as handle:
-                json.dump({
-                    "health": system.monitor.health_summary(),
-                    "monitor": system.monitor.snapshot(),
-                    "spans": system.spans.snapshot(),
-                }, handle, indent=1, sort_keys=True)
-            prom_path = root / f"{stem}.prom"
-            with open(prom_path, "w") as handle:
-                handle.write(prometheus_text(
-                    registry_samples(system.registry)
-                    + stats_samples(system.stats)))
-            payload["metrics_artifact"] = str(metrics_path)
-            payload["prom_artifact"] = str(prom_path)
+        metrics_path = root / f"{stem}.metrics.json"
+        with open(metrics_path, "w") as handle:
+            json.dump({
+                "health": system.monitor.health_summary(),
+                "monitor": system.monitor.snapshot(),
+                "spans": system.spans.snapshot(),
+            }, handle, indent=1, sort_keys=True)
+        prom_path = root / f"{stem}.prom"
+        with open(prom_path, "w") as handle:
+            handle.write(prometheus_text(
+                registry_samples(system.registry)
+                + stats_samples(system.stats)))
+        payload["metrics_artifact"] = str(metrics_path)
+        payload["prom_artifact"] = str(prom_path)
     return payload
 
 
@@ -711,9 +703,9 @@ def run_sweep(specs: Sequence[CellSpec], jobs: int = 1,
     ``cell_timeout`` (seconds of wall clock per cell) requires process
     isolation and therefore applies when set even at ``jobs=1``.
 
-    ``trace_dir`` persists per-cell Chrome trace and profiler
-    artifacts (see :func:`simulate_cell`); cells served from the cache
-    are not re-traced.
+    ``trace_dir`` persists per-cell Chrome trace, health/span and
+    Prometheus artifacts (see :func:`simulate_cell`); cells served
+    from the cache are not re-traced.
     """
     started = time.perf_counter()
     results: List[Optional[CellResult]] = [None] * len(specs)

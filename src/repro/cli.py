@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "of looping forever)")
     run.add_argument("--trace", action="store_true",
                      help="record a protocol trace and print the "
-                          "transaction-profiler latency breakdown")
+                          "per-request critical-path breakdown")
     run.add_argument("--trace-filter", action="append", default=[],
                      metavar="SPEC",
                      help="restrict trace retention: addr=0x…, "
@@ -110,21 +110,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-limit", type=int, default=60,
                      help="max rows in the --timeline print "
                           "(default: 60)")
-    run.add_argument("--metrics-interval", type=int, default=0,
-                     metavar="CYCLES",
-                     help="sample StatsRegistry counters every N "
-                          "cycles into the trace's counter tracks "
-                          "(implies --trace)")
     run.add_argument("--monitor", action="store_true",
                      help="scrape live health metrics (queue depths, "
                           "MSHR occupancy, link backlogs, transport "
-                          "state) and collect per-request critical-"
-                          "path spans; implies --trace (default "
-                          "scrape interval: 5000 cycles)")
+                          "state, stats counters); implies --trace "
+                          "(default scrape interval: 5000 cycles)")
     run.add_argument("--monitor-interval", type=int, default=0,
                      metavar="CYCLES",
-                     help="health-monitor scrape period in cycles "
-                          "(implies --monitor)")
+                     help="health-monitor scrape period in cycles; "
+                          "--trace-out renders each scrape's counters "
+                          "as counter tracks (implies --monitor)")
     run.add_argument("--prom-out", default=None, metavar="FILE",
                      help="write Prometheus text-exposition metrics "
                           "(registry gauges + raw counters) here; "
@@ -190,9 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip final-memory validation against the "
                             "DRF reference executor")
     sweep.add_argument("--trace-artifacts", default=None, metavar="DIR",
-                       help="persist a Chrome trace, profiler snapshot, "
-                            "health-metrics snapshot, and Prometheus "
-                            "exposition per simulated cell into DIR")
+                       help="persist a Chrome trace, a health and "
+                            "span snapshot, and Prometheus exposition "
+                            "per simulated cell into DIR")
     _add_sweep_options(sweep)
 
     bench = sub.add_parser(
@@ -461,8 +456,7 @@ def _cmd_run(args) -> int:
                                   or args.top_every > 0):
         monitor_interval = 5000
     tracing = (args.trace or bool(args.trace_filter) or args.trace_out
-               or args.timeline is not None or args.metrics_interval > 0
-               or monitor_interval > 0)
+               or args.timeline is not None or monitor_interval > 0)
 
     try:
         faults = _fault_config(args)
@@ -481,7 +475,6 @@ def _cmd_run(args) -> int:
         if tracing:
             replacements["trace"] = TraceConfig(
                 filters=tuple(args.trace_filter),
-                metrics_interval=max(0, args.metrics_interval),
                 monitor_interval=monitor_interval,
                 health_top_k=args.top if args.top > 0 else 8)
         if replacements:
@@ -532,8 +525,6 @@ def _cmd_run(args) -> int:
                 max_events=200_000_000, max_cycles=args.max_cycles)
             if checker is not None:
                 checker.audit(final=True)
-            if system.metrics is not None:
-                system.metrics.finalize(system.engine.now)
             if system.monitor is not None:
                 system.monitor.finalize(system.engine.now)
         except (SimulationError, InvariantViolation) as exc:
@@ -560,14 +551,16 @@ def _cmd_run(args) -> int:
             line += (f"  policy[{args.policy}]: "
                      f"{system.stats.get('tu.fwd_direct'):.0f} "
                      f"wtfwd_conversions, "
-                     f"{system.stats.get('llc.wtfwd_pushes'):.0f} pushes, "
+                     f"{system.stats.scope_total('wtfwd_pushes'):.0f} "
+                     f"pushes, "
                      f"pred {system.stats.get('tu.pred_hit'):.0f} hit / "
                      f"{system.stats.get('tu.pred_miss'):.0f} miss")
         if args.faults is not None:
             delayed = (system.stats.get("faults.jitter_delayed")
                        + system.stats.get("faults.burst_delayed"))
             line += (f"  faults: {delayed:.0f} delayed, "
-                     f"{system.stats.get('llc.forced_nacks'):.0f} Nacked,"
+                     f"{system.stats.scope_total('forced_nacks'):.0f} "
+                     f"Nacked,"
                      f" {system.stats.get('tu.nack_retries'):.0f} retried")
         if faults is not None and faults.unreliable:
             dropped = (system.stats.get("faults.dropped")
@@ -591,14 +584,10 @@ def _cmd_run(args) -> int:
                 print(format_timeline(system.tracer.events(),
                                       line=args.timeline,
                                       limit=args.trace_limit))
-            if system.profiler is not None:
-                print(system.profiler.format_report(
-                    f"{config_name} latency breakdown"))
+            print(system.spans.format_report(
+                f"{config_name} critical path"))
             if system.monitor is not None:
                 print(format_health(system.monitor))
-                if system.spans is not None and system.spans.completed:
-                    print(system.spans.format_report(
-                        f"{config_name} critical path"))
                 suffix = f".{config_name}" if len(configs) > 1 else ""
                 if args.prom_out:
                     path = args.prom_out + suffix
@@ -625,8 +614,8 @@ def _cmd_run(args) -> int:
             if args.trace_out:
                 section = {"name": config_name,
                            "events": list(system.tracer.events())}
-                if system.metrics is not None:
-                    section["metrics"] = list(system.metrics.samples)
+                if system.monitor is not None:
+                    section["samples"] = list(system.monitor.samples)
                 trace_sections.append(section)
     if args.trace_out and trace_sections:
         payload = write_chrome_trace(args.trace_out, trace_sections)

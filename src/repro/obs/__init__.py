@@ -1,6 +1,6 @@
-"""Observability: protocol tracing, transaction profiling, exporters.
+"""Observability: protocol tracing, request lifecycles, health, exporters.
 
-The subsystem has three layers, all strictly passive — nothing in this
+The subsystem has four layers, all strictly passive — nothing in this
 package ever schedules engine events, so enabling a trace can never
 change cycle counts, event counts, or final memory:
 
@@ -9,30 +9,28 @@ change cycle counts, event counts, or final memory:
   network, homes, TUs, L1 protocols, MSHRs and DRAM.  Components reach
   the recorder through ``self.engine.tracer`` (``None`` when tracing is
   off, which keeps the disabled hot path to a single attribute test).
-* :mod:`repro.obs.profile` — a :class:`TransactionProfiler` sink that
-  stitches events into per-request lifecycles keyed by ``req_id`` and
-  attributes latency to stages (issue queue, network, indirection /
-  forward hops, home occupancy, blocking).
-* :mod:`repro.obs.monitor` / :mod:`repro.obs.spans` — a hierarchical
-  :class:`MetricsRegistry` of typed instruments scraped by a
-  :class:`HealthMonitor` on an engine-cycle interval, and a
-  :class:`SpanCollector` decomposing per-request end-to-end latency
+* :mod:`repro.obs.spans` — the :class:`SpanCollector`, attached
+  whenever tracing is on: it stitches events into per-request
+  lifecycles keyed by ``req_id``, decomposes each request's latency
   into an exact partition of critical-path stages with top-K
-  contended-line / shard / link rollups.
-* :mod:`repro.obs.export` / :mod:`repro.obs.metrics` /
-  :mod:`repro.obs.prometheus` — Chrome/Perfetto trace-event JSON, a
-  human-readable per-address timeline, periodic epoch snapshots of the
-  :class:`~repro.sim.stats.StatsRegistry`, and Prometheus text
-  exposition with a validating parser.
+  contended-line / shard / link rollups, and keeps the message-class
+  x hop-class flight table behind the Figure 1 indirection count.
+* :mod:`repro.obs.monitor` — a hierarchical :class:`MetricsRegistry`
+  of typed instruments and the :class:`HealthMonitor`, the one epoch
+  sampler: every scrape row carries live queue / MSHR / link /
+  transport state plus a snapshot of the
+  :class:`~repro.sim.stats.StatsRegistry` counters.
+* :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
+  Chrome/Perfetto trace-event JSON (counter tracks rendered from the
+  monitor's scrape rows), a human-readable per-address timeline, and
+  Prometheus text exposition with a validating parser.
 """
 
 from .export import (chrome_trace_events, format_timeline,
                      load_chrome_trace, validate_chrome_trace,
                      write_chrome_trace)
-from .metrics import MetricsTimeSeries
 from .monitor import (Counter, Gauge, HealthMonitor, Histogram,
                       MetricsRegistry, MetricsScope, format_health)
-from .profile import STAGES, TransactionProfiler
 from .prometheus import (parse_prometheus_text, prometheus_text,
                          registry_samples, sanitize_metric_name,
                          stats_samples)
@@ -43,8 +41,6 @@ from .trace import (INDIRECTION_HOPS, TraceEvent, TraceFilter,
 __all__ = [
     "TraceEvent", "TraceFilter", "TraceRecorder", "hop_class",
     "INDIRECTION_HOPS",
-    "TransactionProfiler", "STAGES",
-    "MetricsTimeSeries",
     "MetricsRegistry", "MetricsScope", "HealthMonitor",
     "Counter", "Gauge", "Histogram", "format_health",
     "SpanCollector", "SPAN_STAGES", "decompose",

@@ -4,9 +4,10 @@ The Chrome trace-event format (loadable by ``chrome://tracing`` and
 https://ui.perfetto.dev) maps naturally onto the recorder's stream:
 each simulated component becomes a thread track, span-like events
 (``dur > 0``) become complete ("X") events, instants become "i"
-events, and metrics epochs become counter ("C") tracks.  Cycle
-timestamps are written directly as microseconds — Perfetto's absolute
-units are irrelevant for a simulator; relative spans are what matter.
+events, and the health monitor's scrape rows become counter ("C")
+tracks.  Cycle timestamps are written directly as microseconds —
+Perfetto's absolute units are irrelevant for a simulator; relative
+spans are what matter.
 
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
@@ -63,17 +64,19 @@ def chrome_trace_events(events: Iterable[TraceEvent], pid: int = 0,
     return out
 
 
-def counter_events(samples: Sequence, pid: int = 0) -> List[dict]:
-    """Render metrics epochs as Chrome counter tracks.
+def counter_events(samples: Sequence[dict], pid: int = 0) -> List[dict]:
+    """Render monitor scrape rows as Chrome counter tracks.
 
-    ``samples`` is the ``(ts, {counter: value})`` list kept by
-    :class:`~repro.obs.metrics.MetricsTimeSeries`.
+    ``samples`` are :class:`~repro.obs.monitor.HealthMonitor` rows;
+    each carries its timestamp and a ``counters`` snapshot of the
+    stats registry.
     """
     out: List[dict] = []
-    for ts, counters in samples:
+    for row in samples:
+        counters = row["counters"]
         for name in sorted(counters):
-            out.append({"ph": "C", "pid": pid, "name": name, "ts": ts,
-                        "args": {"value": counters[name]}})
+            out.append({"ph": "C", "pid": pid, "name": name,
+                        "ts": row["ts"], "args": {"value": counters[name]}})
     return out
 
 
@@ -81,16 +84,16 @@ def write_chrome_trace(path: str, sections: Sequence[dict]) -> dict:
     """Write one Chrome trace file combining several sections.
 
     Each section is ``{"name": ..., "events": [TraceEvent, ...],
-    "metrics": optional (ts, counters) samples}`` and becomes one
-    process (pid) in the trace — ``repro run --config all`` emits one
-    file with a process per configuration.  Returns the payload.
+    "samples": optional monitor scrape rows}`` and becomes one process
+    (pid) in the trace — ``repro run --config all`` emits one file
+    with a process per configuration.  Returns the payload.
     """
     trace_events: List[dict] = []
     for pid, section in enumerate(sections):
         trace_events.extend(chrome_trace_events(
             section["events"], pid=pid,
             process_name=str(section.get("name", f"sim{pid}"))))
-        samples = section.get("metrics")
+        samples = section.get("samples")
         if samples:
             trace_events.extend(counter_events(samples, pid=pid))
     payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}

@@ -15,16 +15,18 @@ Two pieces:
     (builder) time.
 
 :class:`HealthMonitor`
-    a trace-recorder *sink* that scrapes the live simulation on an
-    engine-cycle interval with **zero perturbation**: like
-    :class:`~repro.obs.metrics.MetricsTimeSeries` it never schedules
-    engine events — it samples the first time a trace event's
-    timestamp crosses each interval boundary, and every read is a
+    the one epoch sampler: a trace-recorder *sink* that scrapes the
+    live simulation on an engine-cycle interval with **zero
+    perturbation**.  It never schedules engine events — it samples the
+    first time a trace event's timestamp crosses each interval
+    boundary, so sample timestamps are event timestamps (at most one
+    per interval, empty intervals skipped) — and every read is a
     passive attribute/dict read (engine counters, home deferral queues
     and bank backlogs, MSHR occupancy, per-link in-flight depth,
-    transport retransmit backlog and RTO state).  Simulations are
-    bit-identical with monitoring on or off, pinned by
-    ``tests/property/test_monitor_determinism.py``.
+    transport retransmit backlog and RTO state, and a snapshot of the
+    stats registry's counters, which the Chrome exporter renders as
+    counter tracks).  Simulations are bit-identical with monitoring on
+    or off, pinned by ``tests/property/test_monitor_determinism.py``.
 """
 
 from __future__ import annotations
@@ -155,9 +157,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[Tuple[str, Tuple], Instrument] = {}
-        #: legacy name -> canonical name (the one-release alias table;
-        #: purely declarative, rendered into exports for discovery)
-        self.aliases: Dict[str, str] = {}
 
     # -- registration ------------------------------------------------------
     def _register(self, kind: str, name: str,
@@ -198,21 +197,6 @@ class MetricsRegistry:
                   labels: Optional[Dict[str, str]] = None) -> Histogram:
         return self._register("histogram", name, labels, help, unit)
 
-    def alias(self, legacy: str, canonical: str) -> None:
-        """Declare ``legacy`` as the pre-grammar name of ``canonical``.
-
-        Purely declarative (rendered into JSON snapshots so consumers
-        can discover the migration); the dual-write itself happens in
-        :class:`~repro.sim.stats.ScopedStats`.  ``canonical`` may be a
-        template like ``home.<shard>``.  Collides loudly if the legacy
-        name already points elsewhere.
-        """
-        current = self.aliases.get(legacy)
-        if current is not None and current != canonical:
-            raise MetricNameError(
-                f"alias {legacy!r} already maps to {current!r}")
-        self.aliases[legacy] = canonical
-
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self, prefix)
 
@@ -229,9 +213,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """JSON round-trip exact: every container is a plain dict/list
         with string keys, so ``json.loads(json.dumps(s)) == s``."""
-        return {"metrics": self.collect(),
-                "aliases": {old: new for old, new in
-                            sorted(self.aliases.items())}}
+        return {"metrics": self.collect()}
 
 
 class MetricsScope:
@@ -262,7 +244,8 @@ class MetricsScope:
 # the live health monitor
 # ---------------------------------------------------------------------------
 #: bound on retained per-scrape rows (the gauges keep whole-run
-#: high-water marks, so dropping old rows loses no peak information)
+#: high-water marks, so dropping old rows loses no peak information;
+#: Chrome counter tracks start at the oldest retained row)
 MAX_SAMPLES = 4096
 
 
@@ -271,9 +254,10 @@ class HealthMonitor:
 
     A recorder sink (event-driven sampling, never schedules); every
     scrape reads only passive state.  Keeps structured per-scrape rows
-    (bounded ring), updates registry gauges (whose high-water marks
-    cover the whole run), and invokes ``on_sample`` callbacks — the
-    CLI's periodic ``repro top``-style console view hangs off those.
+    (bounded ring; each carries a stats-counter snapshot), updates
+    registry gauges (whose high-water marks cover the whole run), and
+    invokes ``on_sample`` callbacks — the CLI's periodic ``repro
+    top``-style console view hangs off those.
     """
 
     def __init__(self, system, registry: MetricsRegistry,
@@ -456,6 +440,7 @@ class HealthMonitor:
             "homes": homes,
             "mshr": mshr,
             "links": links,
+            "counters": system.stats.counters(),
         }
         if transport is not None:
             row["transport"] = transport

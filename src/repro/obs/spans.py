@@ -1,15 +1,12 @@
-"""Span trees and cross-shard critical-path attribution.
+"""Request lifecycles: span trees, flight tables, critical paths.
 
-The :class:`TransactionProfiler` answers *"how much flight / home /
-blocked time did requests accrue"* — but overlapping hops mean its
-stage sums can exceed end-to-end latency, so it cannot say *where the
-wall-clock time actually went*.  This module answers that question.
-
-:class:`SpanCollector` is a recorder sink that stitches the existing
+:class:`SpanCollector` is the one request-lifecycle sink.  It stitches
 trace events into a causal per-request span tree (issue ->
 shard-indirected hops -> probe fan-out -> transport retransmissions ->
-completion) and decomposes each request's end-to-end latency into an
-**exact partition** of wall-clock stages:
+completion), keyed by ``req_id`` (globally unique per request and
+preserved across forwards and responses), and decomposes each
+request's end-to-end latency into an **exact partition** of
+wall-clock stages:
 
 ``issue``
     from ``l1.issue`` until the request's first wire hop.
@@ -30,13 +27,27 @@ The decomposition sweeps the elementary segments between interval
 boundaries and assigns each segment to the *highest-priority* active
 interval (retransmit > queue > probe > flight > issue), so the stage
 values sum to the end-to-end latency **exactly** — no double counting
-of overlapped hops, no residual clamp.
+of overlapped hops, no residual clamp.  Stage totals are kept overall
+and per originating device, and end-to-end latency percentiles per
+request purpose (``txn.load``, ``txn.store``, ...).
 
 Each interval carries a resource tag (home name for queue time, the
 ``(src, dst)`` link for flight/probe/retransmit), and each request a
 line address, so critical-path cycles roll up into top-K contended
 lines, shards, and links — the live monitor and the diagnostic health
 summary both read those tables.
+
+Independently of request matching, every ``net.send`` books its
+flight time into a message-class x hop-class table
+(:func:`~repro.obs.trace.hop_class`), whose ``fwd`` + ``level``
+columns are the paper's Figure 1 indirection cost
+(:meth:`SpanCollector.indirection_cycles`).  On an unreliable fabric
+the transport retransmits sequenced messages, and each retransmission
+is a genuine ``net.send`` carrying the *same* ``rseq``.  The table
+counts each sequence number once per channel (a per-(src, dst)
+high-water mark: first sends stamp strictly increasing sequence
+numbers) and books repeats separately as ``retx_flight_cycles``.
+``net.dup`` wire duplicates never reach the send path.
 
 Like every sink, the collector is passive: it never schedules engine
 events, so runs are bit-identical with span collection on or off.
@@ -48,7 +59,8 @@ from collections import deque
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .trace import TraceEvent
+from ..sim.stats import LatencySampler
+from .trace import INDIRECTION_HOPS, TraceEvent
 
 #: exact-partition stages, in report order
 SPAN_STAGES = ("issue", "queue", "flight", "probe", "retransmit",
@@ -60,6 +72,7 @@ _PRIORITY = {"retransmit": 5, "queue": 4, "probe": 3, "flight": 2,
              "issue": 1}
 
 _STAGE_ZERO = {stage: 0.0 for stage in SPAN_STAGES}
+_ORIGIN_ZERO = dict(_STAGE_ZERO, count=0.0, total=0.0)
 _BY_START = itemgetter(1, 2)
 
 
@@ -182,6 +195,18 @@ class SpanCollector:
         self.recent = deque(maxlen=max(1, int(keep_spans)))
         #: top-K slowest spans by end-to-end latency
         self.slowest: List[dict] = []
+        #: origin device -> count, total and per-stage cycles
+        self.by_origin: Dict[str, Dict[str, float]] = {}
+        #: end-to-end latency per request purpose (``txn.<purpose>``)
+        self.latency = LatencySampler()
+        #: traffic class -> hop class -> flight cycles of every first
+        #: send, matched to a request or not
+        self.by_class: Dict[str, Dict[str, float]] = {}
+        #: per-(src, dst) highest transport sequence already booked
+        self._seq_watermark: Dict[Tuple[str, str], int] = {}
+        #: flight cycles of retransmitted sends (kept out of by_class)
+        self.retx_flight_cycles = 0.0
+        self.retx_suppressed = 0
         self._handlers = {
             "net.send": self._on_send,
             "home.busy": self._on_busy,
@@ -203,6 +228,13 @@ class SpanCollector:
             handler(event)
 
     def _on_send(self, event: TraceEvent) -> None:
+        if (event.rseq is None or self._first_send(event)) \
+                and event.cls is not None:
+            hops = self.by_class.get(event.cls)
+            if hops is None:
+                hops = self.by_class[event.cls] = {}
+            hop = event.hop or "direct"
+            hops[hop] = hops.get(hop, 0.0) + event.dur
         span = self._open.get(event.req_id)
         if span is None:
             return
@@ -212,6 +244,18 @@ class SpanCollector:
         span.intervals.append(
             (stage, event.ts, event.ts + int(event.dur),
              f"{event.src}->{event.dst}"))
+
+    def _first_send(self, event: TraceEvent) -> bool:
+        """Advance the channel's sequence watermark; a send at or below
+        it is a transport retransmission, booked apart from by_class."""
+        channel = (event.src, event.dst)
+        watermark = self._seq_watermark.get(channel)
+        if watermark is not None and event.rseq <= watermark:
+            self.retx_flight_cycles += event.dur
+            self.retx_suppressed += 1
+            return False
+        self._seq_watermark[channel] = event.rseq
+        return True
 
     def _on_busy(self, event: TraceEvent) -> None:
         span = self._open.get(event.req_id)
@@ -257,8 +301,15 @@ class SpanCollector:
         total = float(end - span.start)
         self.completed += 1
         self.total_cycles += total
+        self.latency.sample(f"txn.{span.purpose}", total)
+        origin = self.by_origin.get(span.origin)
+        if origin is None:
+            origin = self.by_origin[span.origin] = _ORIGIN_ZERO.copy()
+        origin["count"] += 1
+        origin["total"] += total
         for stage, value in stages.items():
             self.stage_totals[stage] += value
+            origin[stage] += value
         contention = (stages["queue"] + stages["retransmit"]
                       + stages["probe"])
         if span.line is not None and contention > 0:
@@ -298,6 +349,12 @@ class SpanCollector:
         del slowest[self.top_k:]
 
     # -- rollups -----------------------------------------------------------
+    def indirection_cycles(self) -> float:
+        """Flight cycles on indirection hops (home forwards and
+        hierarchical level crossings), over all traffic."""
+        return sum(hops.get(hop, 0.0) for hops in self.by_class.values()
+                   for hop in INDIRECTION_HOPS)
+
     def _top(self, table: Dict, k: int) -> List[Tuple]:
         ranked = sorted(table.items(),
                         key=lambda kv: (-kv[1], str(kv[0])))
@@ -329,6 +386,14 @@ class SpanCollector:
             "slowest": [dict(row, segments=[list(s) for s in
                                             row["segments"]])
                         for row in self.slowest],
+            "by_origin": {origin: dict(stages) for origin, stages
+                          in self.by_origin.items()},
+            "by_class": {cls: dict(hops)
+                         for cls, hops in self.by_class.items()},
+            "indirection_cycles": self.indirection_cycles(),
+            "retx_flight_cycles": self.retx_flight_cycles,
+            "retx_suppressed": self.retx_suppressed,
+            "latency": self.latency.snapshot(),
         }
 
     # -- rendering ---------------------------------------------------------
@@ -363,6 +428,37 @@ class SpanCollector:
             cycles = self.stage_totals[stage]
             lines.append(f"    {stage:<10} {cycles:>14,.0f} "
                          f"({100.0 * cycles / total:5.1f}%)")
+        lines.append(f"  {'device':<12} {'txns':>6} {'avg':>8} "
+                     + " ".join(f"{s:>10}" for s in SPAN_STAGES))
+        for origin in sorted(self.by_origin):
+            stages = self.by_origin[origin]
+            count = stages["count"]
+            lines.append(f"  {origin:<12} {count:>6.0f} "
+                         f"{stages['total'] / count:>8.1f} "
+                         + " ".join(f"{stages[s] / count:>10.1f}"
+                                    for s in SPAN_STAGES))
+        lines.append("  (per-request average cycles per stage)")
+        lines.append("  [message-class x hop flight cycles]")
+        for cls in sorted(self.by_class):
+            hops = self.by_class[cls]
+            detail = " ".join(f"{hop}={hops[hop]:,.0f}"
+                              for hop in sorted(hops))
+            lines.append(f"    {cls:<12} {detail}")
+        lines.append(f"  indirection cycles: "
+                     f"{self.indirection_cycles():,.0f}")
+        if self.retx_suppressed:
+            lines.append(
+                f"  retransmitted sends excluded: "
+                f"{self.retx_suppressed} "
+                f"({self.retx_flight_cycles:,.0f} flight cycles)")
+        sampler = self.latency
+        for label in sorted(sampler.labels()):
+            lines.append(
+                f"  {label:<16} n={sampler.count(label):<7} "
+                f"mean={sampler.mean(label):8.1f} "
+                f"p50={sampler.percentile(label, 50):8.1f} "
+                f"p95={sampler.percentile(label, 95):8.1f} "
+                f"p99={sampler.percentile(label, 99):8.1f}")
         if self.line_cycles:
             detail = "  ".join(f"0x{line:x}={cycles:,.0f}"
                                for line, cycles in self.top_lines())

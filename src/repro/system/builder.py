@@ -28,9 +28,8 @@ from ..mem.dram import MainMemory
 from ..network.noc import LatencyModel, Network
 from ..network.reliable import ReliableNetwork
 from ..network.topology import Attachment, TopoEndpoint, build_topology
-from ..obs import (HealthMonitor, MetricsRegistry, MetricsTimeSeries,
-                   SpanCollector, TraceFilter, TraceRecorder,
-                   TransactionProfiler)
+from ..obs import (HealthMonitor, MetricsRegistry, SpanCollector,
+                   TraceFilter, TraceRecorder)
 from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
@@ -95,22 +94,14 @@ class System:
         # Observability must exist before _build(): L1 controllers copy
         # engine.tracer into their MSHR files at construction time.
         self.tracer: Optional[TraceRecorder] = None
-        self.profiler: Optional[TransactionProfiler] = None
-        self.metrics: Optional[MetricsTimeSeries] = None
         self.registry: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanCollector] = None
         self.monitor: Optional[HealthMonitor] = None
-        if config.trace is not None and config.trace.enabled:
+        if config.trace is not None:
             self.tracer = TraceRecorder(
                 self.engine, capacity=config.trace.capacity,
                 filter=TraceFilter.parse(config.trace.filters))
             self.engine.tracer = self.tracer
-            self.profiler = TransactionProfiler()
-            self.tracer.sinks.append(self.profiler)
-            if config.trace.metrics_interval > 0:
-                self.metrics = MetricsTimeSeries(
-                    self.stats, config.trace.metrics_interval)
-                self.tracer.sinks.append(self.metrics)
         self._build()
         self.topology = build_topology(config, self._topo_endpoints,
                                        self._topo_attachments)
@@ -120,20 +111,21 @@ class System:
             # (empty on single-socket fabrics, so they never fire)
             self.fault_injector.sockets = \
                 dict(getattr(self.topology, "sockets", {}) or {})
-        if self.tracer is not None:
-            for shard in self.llcs:
-                self.tracer.homes.add(shard.name)
-            if self.gpu_l2 is not None:
-                self.tracer.homes.add(self.gpu_l2.name)
-        # Health monitor + span collector hook in after the topology is
-        # built (they enumerate live homes / L1s / links).  Both are
-        # passive sinks — runs stay bit-identical with monitoring on.
-        if self.tracer is not None and config.trace.monitor_interval > 0:
+        if self.tracer is None:
+            return
+        for shard in self.llcs:
+            self.tracer.homes.add(shard.name)
+        if self.gpu_l2 is not None:
+            self.tracer.homes.add(self.gpu_l2.name)
+        # The span collector (always, when tracing) and the health
+        # monitor hook in after the topology is built: they enumerate
+        # live homes / L1s / links.  Both are passive sinks — runs stay
+        # bit-identical with telemetry on.
+        self.spans = SpanCollector(top_k=config.trace.health_top_k)
+        if config.trace.monitor_interval <= 0:
+            self.tracer.sinks.append(self.spans)
+        else:
             self.registry = MetricsRegistry()
-            for legacy, canonical in (("llc", "home.<shard>"),
-                                      ("l2", "home.gpu_l2")):
-                self.registry.alias(legacy, canonical)
-            self.spans = SpanCollector(top_k=config.trace.health_top_k)
             self.monitor = HealthMonitor(
                 self, self.registry, config.trace.monitor_interval,
                 top_k=config.trace.health_top_k)
@@ -391,8 +383,6 @@ class System:
         self.engine.run(max_events=max_events, max_cycles=max_cycles)
         cycles = max(done_times.values()) if done_times else self.engine.now
         self.stats.set("execution.cycles", cycles)
-        if self.metrics is not None:
-            self.metrics.finalize(self.engine.now)
         if self.monitor is not None:
             self.monitor.finalize(self.engine.now)
         return RunResult(self.config.name, cycles, self.stats, self.dram)

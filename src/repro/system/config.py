@@ -203,20 +203,19 @@ def parse_link_down(spec: str) -> LinkWindow:
 class TraceConfig:
     """Observability parameters (``repro.obs``).
 
-    Tracing is passive: the recorder never schedules engine events, so
-    enabling it changes no cycle counts, event counts, or memory state.
+    ``SystemConfig.trace=None`` turns tracing off.  Tracing is passive:
+    the recorder and its sinks (the span collector, always attached,
+    and the health monitor) never schedule engine events, so enabling
+    it changes no cycle counts, event counts, or memory state.
     """
 
-    enabled: bool = True
     #: ring-buffer capacity (events retained for export / diagnostics)
     capacity: int = 262_144
     #: ``addr=0x…`` / ``dev=name`` / ``class=kind`` retention filters
     #: (see :meth:`repro.obs.TraceFilter.parse`); empty = keep all
     filters: Tuple[str, ...] = ()
-    #: StatsRegistry snapshot period in cycles; 0 disables the series
-    metrics_interval: int = 0
-    #: health-monitor scrape period in cycles; 0 disables the monitor
-    #: (and the span collector that rides along with it)
+    #: health-monitor scrape period in cycles (each scrape also
+    #: snapshots the stats counters); 0 disables the monitor
     monitor_interval: int = 0
     #: rows shown in top-K health rollups (contended lines / shards /
     #: links, hottest queues)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs import (Counter, Gauge, HealthMonitor, Histogram,
                        MetricsRegistry, TraceEvent, format_health)
-from repro.sim.stats import MetricNameError
+from repro.sim.stats import MetricNameError, StatsRegistry
 from repro.system import (TraceConfig, WatchdogConfig, build_system,
                           scaled_config)
 from repro.workloads import MICROBENCHMARKS
@@ -69,15 +69,6 @@ def test_name_grammar_enforced():
         registry.gauge("ok.name", labels={"BadLabel": "v"})
 
 
-def test_alias_table_and_collision():
-    registry = MetricsRegistry()
-    registry.alias("llc", "home.<shard>")
-    registry.alias("llc", "home.<shard>")     # same mapping: fine
-    with pytest.raises(MetricNameError):
-        registry.alias("llc", "somewhere.else")
-    assert registry.snapshot()["aliases"] == {"llc": "home.<shard>"}
-
-
 def test_gauge_callback_polled_at_collect():
     registry = MetricsRegistry()
     level = {"value": 0}
@@ -99,7 +90,6 @@ def test_snapshot_json_round_trip_exact():
     registry.counter("a.b", labels={"k": "v"}).inc(3)
     registry.gauge("a.g").set(1.5)
     registry.histogram("a.h").observe(9)
-    registry.alias("old", "a.b")
     snapshot = registry.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
 
@@ -144,6 +134,8 @@ def test_monitor_rows_cover_every_surface():
     assert row["engine"]["events"] == system.engine.events_executed
     for entry in row["mshr"].values():
         assert entry["capacity"] >= entry["high_water"] >= 1
+    # the final (end-of-run) scrape carries the final stats counters
+    assert row["counters"] == system.stats.counters()
 
 
 def test_mshr_high_water_tracks_peak_occupancy():
@@ -212,6 +204,7 @@ def test_monitor_ignores_events_before_interval():
     class _System:
         engine = _Engine()
         network = _Network()
+        stats = StatsRegistry()
         llcs = ()
         gpu_l2 = None
         cpu_l1s = ()

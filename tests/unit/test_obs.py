@@ -1,17 +1,23 @@
 """Unit tests for the observability layer (``repro.obs``): recorder
-ring semantics, filter parsing, hop classification, profiler stitching,
-Chrome-trace export/validation, metrics epochs, and timelines."""
+ring semantics, filter parsing, hop classification, request-lifecycle
+stitching in the span collector, Chrome-trace export/validation,
+monitor epochs, and timelines."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import Message, MsgKind
-from repro.obs import (TraceFilter, TraceRecorder, TransactionProfiler,
-                       MetricsTimeSeries, chrome_trace_events,
-                       format_timeline, hop_class, load_chrome_trace,
-                       validate_chrome_trace, write_chrome_trace)
+from repro.network.noc import LatencyModel, Network
+from repro.obs import (SPAN_STAGES, HealthMonitor, MetricsRegistry,
+                       SpanCollector, TraceFilter, TraceRecorder,
+                       chrome_trace_events, format_timeline, hop_class,
+                       load_chrome_trace, validate_chrome_trace,
+                       write_chrome_trace)
+from repro.obs.export import counter_events
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
 
@@ -138,12 +144,12 @@ def test_hop_classification():
 
 
 # ---------------------------------------------------------------------------
-# profiler stitching
+# request-lifecycle stitching (span collector)
 # ---------------------------------------------------------------------------
 def test_profiler_stitches_one_transaction():
     recorder = make_recorder()
-    profiler = TransactionProfiler()
-    recorder.sinks.append(profiler)
+    spans = SpanCollector()
+    recorder.sinks.append(spans)
     engine = recorder.engine
 
     engine.now = 100
@@ -164,29 +170,30 @@ def test_profiler_stitches_one_transaction():
     recorder.record("l1.complete", "cpu0.l1", line=0x40, req_id=9,
                     dur=45, info="load")
 
-    assert profiler.completed == 1
-    assert profiler.open_transactions() == 0
-    device = profiler.by_device["cpu0.l1"]
+    assert spans.completed == 1
+    assert not spans._open
+    device = spans.by_origin["cpu0.l1"]
     assert device["count"] == 1
     assert device["total"] == 45
     assert device["issue"] == 2
-    assert device["network"] == 10
-    assert device["indirection"] == 8
-    assert device["fwd_rsp"] == 9
-    assert device["home"] == 12
-    # residual: 45 - (2 + 10 + 8 + 9 + 12) = 4
+    assert device["queue"] == 12
+    # the direct, forwarded and owner-response hops are all flight:
+    # 10 + 8 + 9, back to back, no overlap
+    assert device["flight"] == 27
+    # the exact partition leaves the 4 uncovered cycles in "other"
     assert device["other"] == 4
-    assert profiler.indirection_cycles() == 8
-    assert profiler.by_class["ReqS"] == {"direct": 10, "fwd": 8,
-                                         "fwd_rsp": 9}
-    assert profiler.sampler.count("txn.load") == 1
-    assert profiler.sampler.mean("txn.load") == 45
+    assert sum(device[stage] for stage in SPAN_STAGES) == 45
+    assert spans.indirection_cycles() == 8
+    assert spans.by_class["ReqS"] == {"direct": 10, "fwd": 8,
+                                      "fwd_rsp": 9}
+    assert spans.latency.count("txn.load") == 1
+    assert spans.latency.mean("txn.load") == 45
 
 
 def test_profiler_attributes_blocked_time():
     recorder = make_recorder()
-    profiler = TransactionProfiler()
-    recorder.sinks.append(profiler)
+    spans = SpanCollector()
+    recorder.sinks.append(spans)
     engine = recorder.engine
 
     recorder.record("l1.issue", "gpu0.l1", line=0x80, req_id=3,
@@ -198,19 +205,20 @@ def test_profiler_attributes_blocked_time():
     engine.now = 60
     recorder.record("l1.complete", "gpu0.l1", line=0x80, req_id=3,
                     info="store")
-    assert profiler.by_device["gpu0.l1"]["blocked"] == 30
-    report = profiler.format_report("test")
+    # the defer->replay window is queue time at the home
+    assert spans.by_origin["gpu0.l1"]["queue"] == 30
+    report = spans.format_report("test")
     assert "gpu0.l1" in report and "txn.store" in report
 
 
 def test_profiler_snapshot_is_json_safe():
-    profiler = TransactionProfiler()
+    spans = SpanCollector()
     recorder = make_recorder()
-    recorder.sinks.append(profiler)
+    recorder.sinks.append(spans)
     recorder.record("l1.issue", "cpu0.l1", req_id=1, info="load")
     recorder.engine.now = 7
     recorder.record("l1.complete", "cpu0.l1", req_id=1, info="load")
-    snap = json.loads(json.dumps(profiler.snapshot()))
+    snap = json.loads(json.dumps(spans.snapshot()))
     assert snap["completed"] == 1
     assert snap["latency"]["txn.load"]["count"] == 1
 
@@ -230,7 +238,7 @@ def test_chrome_export_round_trip(tmp_path):
     path = tmp_path / "trace.json"
     payload = write_chrome_trace(str(path), [
         {"name": "SDD", "events": recorder.events(),
-         "metrics": [(10, {"llc.hits": 3.0})]},
+         "samples": [{"ts": 10, "counters": {"home.llc.hits": 3.0}}]},
     ])
     assert validate_chrome_trace(payload) == []
     loaded = load_chrome_trace(str(path))
@@ -246,7 +254,7 @@ def test_chrome_export_round_trip(tmp_path):
     instants = [e for e in events if e["ph"] == "i"]
     assert instants and instants[0]["s"] == "t"
     counters = [e for e in events if e["ph"] == "C"]
-    assert counters == [{"ph": "C", "pid": 0, "name": "llc.hits",
+    assert counters == [{"ph": "C", "pid": 0, "name": "home.llc.hits",
                          "ts": 10, "args": {"value": 3.0}}]
 
 
@@ -273,34 +281,43 @@ def test_validator_flags_backwards_timestamps_and_missing_dur():
 
 
 # ---------------------------------------------------------------------------
-# metrics epochs
+# monitor epochs
 # ---------------------------------------------------------------------------
 def test_metrics_sample_on_epoch_boundaries():
     stats = StatsRegistry()
-    series = MetricsTimeSeries(stats, interval=100)
+    engine = Engine()
+    system = SimpleNamespace(
+        engine=engine, stats=stats,
+        network=Network(engine, stats, LatencyModel()))
+    monitor = HealthMonitor(system, MetricsRegistry(), interval=100)
     recorder = make_recorder()
-    recorder.sinks.append(series)
-    engine = recorder.engine
+    recorder.sinks.append(monitor)
+    clock = recorder.engine
 
     stats.incr("x")
-    engine.now = 50
+    clock.now = 50
     recorder.record("l1.state", "cpu0.l1")   # before first boundary
-    assert series.samples == []
-    engine.now = 130
+    assert list(monitor.samples) == []
+    clock.now = 130
     recorder.record("l1.state", "cpu0.l1")   # crosses t=100
     stats.incr("x")
-    engine.now = 140
+    clock.now = 140
     recorder.record("l1.state", "cpu0.l1")   # same epoch: no sample
-    engine.now = 460
+    clock.now = 460
     recorder.record("l1.state", "cpu0.l1")   # skips empty epochs
-    series.finalize(500)
-    series.finalize(500)                      # idempotent
-    assert [ts for ts, _ in series.samples] == [130, 460, 500]
-    assert series.counter_series("x") == [(130, 1.0), (460, 2.0),
-                                          (500, 2.0)]
-    assert series.counter_names() == ["x"]
-    snap = json.loads(json.dumps(series.snapshot()))
+    monitor.finalize(500)
+    monitor.finalize(500)                     # idempotent
+    rows = list(monitor.samples)
+    assert [row["ts"] for row in rows] == [130, 460, 500]
+    # each row snapshots the stats counters at its scrape
+    assert [row["counters"]["x"] for row in rows] == [1.0, 2.0, 2.0]
+    assert {name for row in rows for name in row["counters"]} == {"x"}
+    snap = json.loads(json.dumps(monitor.snapshot()))
     assert snap["interval"] == 100 and len(snap["samples"]) == 3
+    # the rows render as one Chrome counter track per counter
+    tracks = [e for e in counter_events(rows) if e["name"] == "x"]
+    assert [(e["ts"], e["args"]["value"]) for e in tracks] == \
+        [(130, 1.0), (460, 2.0), (500, 2.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Dotted stat-name scheme: per-shard canonical names, one-release
-legacy aliases, and build-time collision detection."""
+"""Dotted stat-name scheme: per-home canonical names (no flat
+``llc.*``/``l2.*`` aggregates), read-side totals across homes, and
+build-time collision detection."""
 
 import pytest
 
 from repro.sim.stats import (MetricNameError, StatsRegistry,
                              validate_metric_name)
-from repro.system import (TraceConfig, WatchdogConfig, build_system,
+from repro.system import (CONFIG_ORDER, WatchdogConfig, build_system,
                           scaled_config)
 from repro.workloads import MICROBENCHMARKS
 
@@ -26,83 +27,73 @@ def test_grammar_rejects_violations():
             validate_metric_name(bad)
 
 
-def test_scoped_dual_writes_canonical_and_legacy():
+def test_scope_total_sums_canonical_names_across_homes():
     registry = StatsRegistry()
-    scope = registry.scoped("home.llc0", legacy_prefix="llc")
-    scope.incr("fills", 3)
-    scope.incr_group("traffic", "req", 2)
-    counters = registry.counters()
-    assert counters["home.llc0.fills"] == 3
-    assert counters["llc.fills"] == 3
-    assert registry.group("home.llc0.traffic") == {"req": 2}
-    assert registry.group("llc.traffic") == {"req": 2}
-
-
-def test_legacy_name_sums_across_shards():
-    registry = StatsRegistry()
-    registry.scoped("home.llc0", legacy_prefix="llc").incr("fills", 3)
-    registry.scoped("home.llc1", legacy_prefix="llc").incr("fills", 4)
+    registry.scoped("home.llc0").incr("fills", 3)
+    registry.scoped("home.llc1").incr("fills", 4)
+    registry.scoped("home.gpu_l2").incr_group("requests", "ReqV", 2)
+    registry.scoped("home.l3").incr_group("requests", "GetS", 5)
+    registry.incr("home.fills", 100)          # no scope segment
+    registry.incr("tu.fills", 100)            # not under home
     counters = registry.counters()
     assert counters["home.llc0.fills"] == 3
     assert counters["home.llc1.fills"] == 4
-    assert counters["llc.fills"] == 7
+    assert registry.scope_total("fills") == 7
+    # a grouped metric contributes its group total
+    assert registry.scope_total("requests") == 7
+    assert registry.scope_total("missing") == 0
+    assert registry.scope_total("fills", under="tu") == 0
+    # the total is a read over names, so a rebuilt registry agrees
+    rebuilt = StatsRegistry.from_snapshot(registry.snapshot())
+    assert rebuilt.scope_total("fills") == 7
+    assert rebuilt.scope_total("requests") == 7
 
 
 def test_duplicate_scope_prefix_raises_at_build_time():
     registry = StatsRegistry()
-    registry.scoped("home.llc0", legacy_prefix="llc")
+    registry.scoped("home.llc0")
     with pytest.raises(MetricNameError):
-        registry.scoped("home.llc0", legacy_prefix="llc")
+        registry.scoped("home.llc0")
 
 
 def test_scope_prefix_grammar_enforced():
     registry = StatsRegistry()
     with pytest.raises(MetricNameError):
         registry.scoped("Home.LLC0")
-    with pytest.raises(MetricNameError):
-        registry.scoped("home.llc0", legacy_prefix="LLC")
-
-
-def test_aliased_view_shares_canonical_prefix():
-    registry = StatsRegistry()
-    scope = registry.scoped("home.gpu_l2", legacy_prefix="llc")
-    upstream = scope.aliased("l2")
-    scope.incr("fills", 1)
-    upstream.incr("upstream_reads", 5)
-    counters = registry.counters()
-    assert counters["home.gpu_l2.fills"] == 1
-    assert counters["llc.fills"] == 1
-    assert counters["home.gpu_l2.upstream_reads"] == 5
-    assert counters["l2.upstream_reads"] == 5
-    assert "llc.upstream_reads" not in counters
 
 
 # ---------------------------------------------------------------------------
-# end-to-end on a sharded system
+# end-to-end: every configuration and a sharded run
 # ---------------------------------------------------------------------------
-def test_sharded_run_emits_per_shard_names_that_sum_to_legacy():
+def _run(config_name, **overrides):
     config = scaled_config(
-        "SDD", 2, 2, llc_shards=2,
-        watchdog=WatchdogConfig(stall_cycles=200_000),
-        trace=TraceConfig())
+        config_name, 2, 2, watchdog=WatchdogConfig(stall_cycles=200_000),
+        **overrides)
     system = build_system(config)
     system.load_workload(MICROBENCHMARKS["ReuseS"](
         num_cpus=2, num_gpus=2, warps_per_cu=1))
     system.run(max_events=30_000_000)
+    return system
+
+
+@pytest.mark.parametrize(
+    "config_name, overrides",
+    [(name, {}) for name in CONFIG_ORDER] + [("SDD", {"llc_shards": 2})],
+    ids=list(CONFIG_ORDER) + ["SDD-2shards"])
+def test_no_legacy_llc_or_l2_names_are_emitted(config_name, overrides):
+    system = _run(config_name, **overrides)
     counters = system.stats.counters()
-    shard_prefixes = [f"home.{home.name}." for home in system.llcs]
-    assert len(shard_prefixes) == 2
-    # collect the per-shard metric names actually emitted
-    metrics = set()
-    for name in counters:
-        for prefix in shard_prefixes:
-            if name.startswith(prefix):
-                metrics.add(name[len(prefix):])
-    assert metrics, "sharded run emitted no home.<shard>.* counters"
-    for metric in metrics:
-        sharded_sum = sum(counters.get(f"{prefix}{metric}", 0)
-                          for prefix in shard_prefixes)
-        assert sharded_sum == counters.get(f"llc.{metric}", 0), metric
+    names = list(counters) + list(system.stats.groups())
+    legacy = [name for name in names if name.startswith(("llc.", "l2."))]
+    assert not legacy, legacy
+    # every home writes its own canonical namespace
+    homes = list(system.llcs) + ([system.gpu_l2] if system.gpu_l2
+                                 else [])
+    for home in homes:
+        assert system.stats.group_total(f"home.{home.name}.requests") > 0
+    assert system.stats.scope_total("requests") == sum(
+        system.stats.group_total(f"home.{home.name}.requests")
+        for home in homes)
     # every emitted name satisfies the registry grammar
-    for name in counters:
+    for name in names:
         validate_metric_name(name)

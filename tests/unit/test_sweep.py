@@ -1,6 +1,7 @@
 """Unit tests for the parallel, cached experiment-sweep subsystem."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,21 @@ def test_serial_sweep_matches_direct_simulation(tmp_path):
     assert cell.payload["traffic"] == direct["traffic"]
     assert cell.memory_ok is True
     assert cell.wall_time > 0
+
+
+def test_trace_artifacts_are_trace_metrics_and_prom(tmp_path):
+    traced = simulate_cell(TINY_SPECS[1], trace_dir=str(tmp_path))
+    plain = simulate_cell(TINY_SPECS[1])
+    assert traced["stats"] == plain["stats"]      # tracing is passive
+    assert sorted(path.suffix for path in tmp_path.iterdir()) == \
+        [".json", ".json", ".prom"]
+    metrics = json.loads(Path(traced["metrics_artifact"]).read_text())
+    spans = metrics["spans"]
+    assert spans["completed"] > 0 and spans["indirection_cycles"] > 0
+    assert metrics["monitor"]["samples"][-1]["counters"] == \
+        plain["stats"]["counters"]
+    trace = json.loads(Path(traced["trace_artifact"]).read_text())
+    assert trace["traceEvents"]
 
 
 def test_warm_cache_rerun_simulates_nothing(tmp_path):
