@@ -12,7 +12,6 @@ Run:  python examples/flat_vs_hierarchical.py
 """
 
 from repro.analysis import ExperimentRunner, format_traffic_stack
-from repro.sim.stats import StatsRegistry
 from repro.workloads import make_indirection
 
 
@@ -28,8 +27,7 @@ def main() -> None:
     # plus the L3 directory), summed over the home.<name>.requests
     # groups of each cell's stats snapshot
     requests_by_config = {
-        cell.config: StatsRegistry.from_snapshot(
-            cell.payload["stats"]).scope_total("requests")
+        cell.config: cell.stats().scope_total("requests")
         for cell in runner.last_sweep.cells}
     for name, config_result in result.results.items():
         requests = requests_by_config[name]

@@ -38,6 +38,7 @@ from .faults import format_diagnostic
 from .obs import (format_health, format_timeline, load_chrome_trace,
                   prometheus_text, registry_samples, stats_samples,
                   validate_chrome_trace, write_chrome_trace)
+from .obs.monitor import MAX_SAMPLES
 from .sim.engine import SimulationError
 from .system import (CONFIG_ORDER, CONFIGS, FaultConfig, TraceConfig,
                      WatchdogConfig, build_system, parse_link_down,
@@ -119,7 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="CYCLES",
                      help="health-monitor scrape period in cycles; "
                           "--trace-out renders each scrape's counters "
-                          "as counter tracks (implies --monitor)")
+                          "as counter tracks, from the last "
+                          f"{MAX_SAMPLES} scrapes only (implies "
+                          "--monitor)")
     run.add_argument("--prom-out", default=None, metavar="FILE",
                      help="write Prometheus text-exposition metrics "
                           "(registry gauges + raw counters) here; "
@@ -614,8 +617,15 @@ def _cmd_run(args) -> int:
             if args.trace_out:
                 section = {"name": config_name,
                            "events": list(system.tracer.events())}
-                if system.monitor is not None:
-                    section["samples"] = list(system.monitor.samples)
+                monitor = system.monitor
+                if monitor is not None:
+                    section["samples"] = list(monitor.samples)
+                    dropped = monitor.scrapes - len(monitor.samples)
+                    if dropped:
+                        print(f"      counter tracks: first {dropped:,} "
+                              f"of {monitor.scrapes:,} scrapes dropped "
+                              f"(the monitor keeps the last "
+                              f"{len(monitor.samples):,})")
                 trace_sections.append(section)
     if args.trace_out and trace_sections:
         payload = write_chrome_trace(args.trace_out, trace_sections)

@@ -419,25 +419,27 @@ class SpanCollector:
         lines.append(f"  requests decomposed: {self.completed}"
                      + (f"  (open: {len(self._open)})"
                         if self._open else ""))
-        if not self.completed:
+        if not (self.completed or self.by_class):
             return "\n".join(lines)
-        total = self.total_cycles or 1.0
-        lines.append("  end-to-end cycles by stage "
-                     "(exact partition):")
-        for stage in SPAN_STAGES:
-            cycles = self.stage_totals[stage]
-            lines.append(f"    {stage:<10} {cycles:>14,.0f} "
-                         f"({100.0 * cycles / total:5.1f}%)")
-        lines.append(f"  {'device':<12} {'txns':>6} {'avg':>8} "
-                     + " ".join(f"{s:>10}" for s in SPAN_STAGES))
-        for origin in sorted(self.by_origin):
-            stages = self.by_origin[origin]
-            count = stages["count"]
-            lines.append(f"  {origin:<12} {count:>6.0f} "
-                         f"{stages['total'] / count:>8.1f} "
-                         + " ".join(f"{stages[s] / count:>10.1f}"
-                                    for s in SPAN_STAGES))
-        lines.append("  (per-request average cycles per stage)")
+        if self.completed:
+            total = self.total_cycles or 1.0
+            lines.append("  end-to-end cycles by stage "
+                         "(exact partition):")
+            for stage in SPAN_STAGES:
+                cycles = self.stage_totals[stage]
+                lines.append(f"    {stage:<10} {cycles:>14,.0f} "
+                             f"({100.0 * cycles / total:5.1f}%)")
+            lines.append(f"  {'device':<12} {'txns':>6} {'avg':>8} "
+                         + " ".join(f"{s:>10}" for s in SPAN_STAGES))
+            for origin in sorted(self.by_origin):
+                stages = self.by_origin[origin]
+                count = stages["count"]
+                lines.append(f"  {origin:<12} {count:>6.0f} "
+                             f"{stages['total'] / count:>8.1f} "
+                             + " ".join(f"{stages[s] / count:>10.1f}"
+                                        for s in SPAN_STAGES))
+            lines.append("  (per-request average cycles per stage)")
+        # sends are tallied whether or not a request has completed
         lines.append("  [message-class x hop flight cycles]")
         for cls in sorted(self.by_class):
             hops = self.by_class[cls]

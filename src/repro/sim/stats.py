@@ -103,14 +103,13 @@ class StatsRegistry:
     def scopes(self) -> Iterable[str]:
         return list(self._scopes)
 
-    def scope_total(self, metric: str, under: str = "home") -> float:
-        """Sum ``<under>.<scope>.<metric>`` over every scope (by default
-        every home: the Spandex shards, the L3 and the GPU L2).  A
-        grouped metric contributes its group total.  Names are matched,
-        so a registry rebuilt by :meth:`from_snapshot` sums the same."""
+    def scope_total(self, metric: str) -> float:
+        """Sum ``home.<scope>.<metric>`` over every home (the Spandex
+        shards, the L3 and the GPU L2).  A grouped metric contributes
+        its group total.  Names are matched, so a registry rebuilt by
+        :meth:`from_snapshot` sums the same."""
         matches = re.compile(
-            rf"{re.escape(under)}\.[a-z0-9_]+\.{re.escape(metric)}"
-        ).fullmatch
+            rf"home\.[a-z0-9_]+\.{re.escape(metric)}").fullmatch
         return (sum(value for name, value in self._counters.items()
                     if matches(name))
                 + sum(sum(keys.values())

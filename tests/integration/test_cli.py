@@ -171,3 +171,21 @@ def test_replay_reproduces_live_run_cycles(tmp_path, capsys):
     replayed = int(
         re.search(r"([\d,]+) cycles", out).group(1).replace(",", ""))
     assert replayed == live
+
+
+def test_trace_out_reports_dropped_counter_rows(tmp_path, capsys,
+                                                monkeypatch):
+    import repro.obs.monitor as monitor_module
+    monkeypatch.setattr(monitor_module, "MAX_SAMPLES", 4)
+    trace_path = tmp_path / "trace.json"
+    assert main(["run", "ReuseS", "--config", "SMG", *SMALL,
+                 "--monitor-interval", "500",
+                 "--trace-out", str(trace_path)]) == 0
+    match = re.search(r"counter tracks: first ([\d,]+) of ([\d,]+) "
+                      r"scrapes dropped \(the monitor keeps the last 4\)",
+                      capsys.readouterr().out)
+    assert match
+    dropped, scrapes = (int(g.replace(",", "")) for g in match.groups())
+    assert scrapes == dropped + 4
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    assert len({e["ts"] for e in events if e["ph"] == "C"}) == 4

@@ -211,6 +211,23 @@ def test_profiler_attributes_blocked_time():
     assert "gpu0.l1" in report and "txn.store" in report
 
 
+def test_report_shows_flight_table_before_any_completion():
+    recorder = make_recorder()
+    spans = SpanCollector()
+    recorder.sinks.append(spans)
+    recorder.record("l1.issue", "cpu0.l1", line=0x40, req_id=9,
+                    info="load")
+    recorder.engine.now = 4
+    recorder.record("net.send", "llc", dst="cpu1.l1", line=0x40,
+                    req_id=9, cls="ReqS", dur=8, hop="fwd")
+    # a run cut before the first l1.complete still reports its sends
+    assert spans.completed == 0
+    report = spans.format_report("cut")
+    assert "ReqS" in report and "fwd=8" in report
+    assert "indirection cycles: 8" in report
+    assert "(exact partition)" not in report
+
+
 def test_profiler_snapshot_is_json_safe():
     spans = SpanCollector()
     recorder = make_recorder()

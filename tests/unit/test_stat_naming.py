@@ -42,7 +42,6 @@ def test_scope_total_sums_canonical_names_across_homes():
     # a grouped metric contributes its group total
     assert registry.scope_total("requests") == 7
     assert registry.scope_total("missing") == 0
-    assert registry.scope_total("fills", under="tu") == 0
     # the total is a read over names, so a rebuilt registry agrees
     rebuilt = StatsRegistry.from_snapshot(registry.snapshot())
     assert rebuilt.scope_total("fills") == 7
