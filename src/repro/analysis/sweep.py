@@ -266,8 +266,8 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
         "wall_time": time.perf_counter() - started,
     }
     if trace_dir is not None:
-        from ..obs import (prometheus_text, registry_samples,
-                           stats_samples, write_chrome_trace)
+        from ..obs import (prometheus_exposition, telemetry_payload,
+                           write_chrome_trace)
         key12 = cell_key(spec, validate_memory, max_events)[:12]
         stem = f"{spec.workload}-{spec.config}-{key12}"
         root = Path(trace_dir)
@@ -280,16 +280,11 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
         payload["trace_artifact"] = str(trace_path)
         metrics_path = root / f"{stem}.metrics.json"
         with open(metrics_path, "w") as handle:
-            json.dump({
-                "health": system.monitor.health_summary(),
-                "monitor": system.monitor.snapshot(),
-                "spans": system.spans.snapshot(),
-            }, handle, indent=1, sort_keys=True)
+            json.dump(telemetry_payload(system), handle, indent=1,
+                      sort_keys=True)
         prom_path = root / f"{stem}.prom"
         with open(prom_path, "w") as handle:
-            handle.write(prometheus_text(
-                registry_samples(system.registry)
-                + stats_samples(system.stats)))
+            handle.write(prometheus_exposition(system))
         payload["metrics_artifact"] = str(metrics_path)
         payload["prom_artifact"] = str(prom_path)
     return payload

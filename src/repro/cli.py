@@ -36,7 +36,7 @@ from .analysis import (InvariantChecker, InvariantViolation, ResultCache,
                        run_sweep, summarize_headline)
 from .faults import format_diagnostic
 from .obs import (format_health, format_timeline, load_chrome_trace,
-                  prometheus_text, registry_samples, stats_samples,
+                  prometheus_exposition, telemetry_payload,
                   validate_chrome_trace, write_chrome_trace)
 from .obs.monitor import MAX_SAMPLES
 from .sim.engine import SimulationError
@@ -125,13 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           "--monitor)")
     run.add_argument("--prom-out", default=None, metavar="FILE",
                      help="write Prometheus text-exposition metrics "
-                          "(registry gauges + raw counters) here; "
+                          "(monitor gauges with whole-run peaks + "
+                          "stats counters) here; "
                           "with --config all, one file per "
                           "configuration suffixed .<config> "
                           "(implies --monitor)")
     run.add_argument("--health-json", default=None, metavar="FILE",
-                     help="write the JSON health snapshot (metrics "
-                          "registry, scrape rows, critical-path "
+                     help="write the JSON health snapshot (monitor "
+                          "gauges, scrape rows, critical-path "
                           "rollups) here; suffixed like --prom-out "
                           "(implies --monitor)")
     run.add_argument("--top", type=int, default=0, metavar="K",
@@ -594,21 +595,14 @@ def _cmd_run(args) -> int:
                 suffix = f".{config_name}" if len(configs) > 1 else ""
                 if args.prom_out:
                     path = args.prom_out + suffix
-                    text = prometheus_text(
-                        registry_samples(system.registry)
-                        + stats_samples(system.stats))
                     with open(path, "w") as handle:
-                        handle.write(text)
+                        handle.write(prometheus_exposition(system))
                     print(f"      prometheus metrics -> {path}")
                 if args.health_json:
                     path = args.health_json + suffix
-                    payload = {
-                        "workload": args.workload,
-                        "config": config_name,
-                        "health": system.monitor.health_summary(),
-                        "monitor": system.monitor.snapshot(),
-                        "spans": system.spans.snapshot(),
-                    }
+                    payload = {"workload": args.workload,
+                               "config": config_name,
+                               **telemetry_payload(system)}
                     with open(path, "w") as handle:
                         json.dump(payload, handle, indent=1,
                                   sort_keys=True)

@@ -15,25 +15,26 @@ change cycle counts, event counts, or final memory:
   into an exact partition of critical-path stages with top-K
   contended-line / shard / link rollups, and keeps the message-class
   x hop-class flight table behind the Figure 1 indirection count.
-* :mod:`repro.obs.monitor` — a hierarchical :class:`MetricsRegistry`
-  of typed instruments and the :class:`HealthMonitor`, the one epoch
-  sampler: every scrape row carries live queue / MSHR / link /
+* :mod:`repro.obs.monitor` — the :class:`HealthMonitor`, the one
+  epoch sampler: every scrape row carries live queue / MSHR / link /
   transport state plus a snapshot of the
-  :class:`~repro.sim.stats.StatsRegistry` counters.
+  :class:`~repro.sim.stats.StatsRegistry` counters (the one metric
+  store), and each scrape sets the :data:`GAUGES` families' last
+  values and whole-run peaks.
 * :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
   Chrome/Perfetto trace-event JSON (counter tracks rendered from the
-  monitor's scrape rows), a human-readable per-address timeline, and
-  Prometheus text exposition with a validating parser.
+  monitor's scrape rows), a human-readable per-address timeline, the
+  JSON health artifact, and Prometheus text exposition with a
+  validating parser.
 """
 
 from .export import (chrome_trace_events, format_timeline,
-                     load_chrome_trace, validate_chrome_trace,
+                     load_chrome_trace, prometheus_exposition,
+                     telemetry_payload, validate_chrome_trace,
                      write_chrome_trace)
-from .monitor import (Counter, Gauge, HealthMonitor, Histogram,
-                      MetricsRegistry, MetricsScope, format_health)
+from .monitor import GAUGES, HealthMonitor, format_health
 from .prometheus import (parse_prometheus_text, prometheus_text,
-                         registry_samples, sanitize_metric_name,
-                         stats_samples)
+                         sanitize_metric_name, stats_samples)
 from .spans import SPAN_STAGES, SpanCollector, decompose
 from .trace import (INDIRECTION_HOPS, TraceEvent, TraceFilter,
                     TraceRecorder, hop_class)
@@ -41,11 +42,10 @@ from .trace import (INDIRECTION_HOPS, TraceEvent, TraceFilter,
 __all__ = [
     "TraceEvent", "TraceFilter", "TraceRecorder", "hop_class",
     "INDIRECTION_HOPS",
-    "MetricsRegistry", "MetricsScope", "HealthMonitor",
-    "Counter", "Gauge", "Histogram", "format_health",
+    "GAUGES", "HealthMonitor", "format_health",
     "SpanCollector", "SPAN_STAGES", "decompose",
-    "prometheus_text", "parse_prometheus_text", "registry_samples",
-    "stats_samples", "sanitize_metric_name",
+    "prometheus_text", "parse_prometheus_text", "stats_samples",
+    "sanitize_metric_name", "prometheus_exposition", "telemetry_payload",
     "chrome_trace_events", "write_chrome_trace", "load_chrome_trace",
     "validate_chrome_trace", "format_timeline",
 ]

@@ -9,6 +9,10 @@ tracks.  Cycle timestamps are written directly as microseconds —
 Perfetto's absolute units are irrelevant for a simulator; relative
 spans are what matter.
 
+:func:`telemetry_payload` and :func:`prometheus_exposition` are the
+one definition of a monitored run's JSON health artifact and its
+Prometheus text, shared by ``repro run`` and sweep trace artifacts.
+
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
 and have monotonically non-decreasing timestamps per track.
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from .prometheus import prometheus_text, stats_samples
 from .trace import TraceEvent
 
 
@@ -100,6 +105,23 @@ def write_chrome_trace(path: str, sections: Sequence[dict]) -> dict:
     with open(path, "w") as handle:
         json.dump(payload, handle)
     return payload
+
+
+def telemetry_payload(system) -> Dict[str, object]:
+    """The JSON health artifact of a monitored run: health summary,
+    monitor snapshot (gauges + scrape rows) and span rollups."""
+    return {
+        "health": system.monitor.health_summary(),
+        "monitor": system.monitor.snapshot(),
+        "spans": system.spans.snapshot(),
+    }
+
+
+def prometheus_exposition(system) -> str:
+    """Prometheus text for a monitored run: the monitor's gauges with
+    their whole-run peaks, then the stats counters."""
+    return prometheus_text(system.monitor.gauge_samples()
+                           + stats_samples(system.stats))
 
 
 def load_chrome_trace(path: str) -> dict:

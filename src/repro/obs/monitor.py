@@ -1,32 +1,22 @@
-"""Hierarchical metrics registry + live contention health monitor.
+"""Live contention health monitor.
 
-Two pieces:
+:class:`HealthMonitor` is the one epoch sampler: a trace-recorder
+*sink* that scrapes the live simulation on an engine-cycle interval
+with **zero perturbation**.  It never schedules engine events — it
+samples the first time a trace event's timestamp crosses each
+interval boundary, so sample timestamps are event timestamps (at most
+one per interval, empty intervals skipped) — and every read is a
+passive attribute/dict read (engine counters, home deferral queues
+and bank backlogs, MSHR occupancy, per-link in-flight depth,
+transport retransmit backlog and RTO state, and a snapshot of the
+stats registry's counters, which the Chrome exporter renders as
+counter tracks).  Simulations are bit-identical with monitoring on or
+off, pinned by ``tests/property/test_monitor_determinism.py``.
 
-:class:`MetricsRegistry`
-    typed instruments — counters, gauges, histograms — keyed by a
-    dotted name (the registry grammar shared with
-    ``repro.sim.stats``) plus a fixed label set, so one metric family
-    (``home.queue_depth``) carries per-component label dimensions
-    (``{home="llc0"}``) instead of exploding into per-component names.
-    Re-registering an identical (name, labels, kind) returns the
-    existing instrument — per-link gauges materialize lazily as links
-    first carry traffic — while a kind mismatch or a grammar violation
-    raises :class:`~repro.sim.stats.MetricNameError` at registration
-    (builder) time.
-
-:class:`HealthMonitor`
-    the one epoch sampler: a trace-recorder *sink* that scrapes the
-    live simulation on an engine-cycle interval with **zero
-    perturbation**.  It never schedules engine events — it samples the
-    first time a trace event's timestamp crosses each interval
-    boundary, so sample timestamps are event timestamps (at most one
-    per interval, empty intervals skipped) — and every read is a
-    passive attribute/dict read (engine counters, home deferral queues
-    and bank backlogs, MSHR occupancy, per-link in-flight depth,
-    transport retransmit backlog and RTO state, and a snapshot of the
-    stats registry's counters, which the Chrome exporter renders as
-    counter tracks).  Simulations are bit-identical with monitoring on
-    or off, pinned by ``tests/property/test_monitor_determinism.py``.
+Each scrape also sets the :data:`GAUGES` families: plain last-value
+and whole-run peak dicts keyed by ``(family, sorted label tuple)``,
+which the health summary and the Prometheus exporter read.  Counters
+live only in :class:`~repro.sim.stats.StatsRegistry`.
 """
 
 from __future__ import annotations
@@ -34,217 +24,39 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.stats import (HISTOGRAM_BUCKETS, MetricNameError, _bucket_of,
-                         validate_metric_name)
 from .trace import TraceEvent
 
-import re
+#: gauge family -> (help, unit); family names follow the registry
+#: grammar of :mod:`repro.sim.stats`
+GAUGES: Dict[str, Tuple[str, str]] = {
+    "engine.events_per_cycle": (
+        "executed events per cycle over the last scrape interval",
+        "events/cycle"),
+    "engine.pending": ("events in the scheduler queue", "events"),
+    "engine.pending_nonidle": ("non-idle (real work) events pending",
+                               "events"),
+    "home.queue_depth": ("deferred + in-transaction requests held at "
+                         "the home", "requests"),
+    "home.bank_backlog": ("cycles until the busiest bank frees",
+                          "cycles"),
+    "mshr.occupancy": ("allocated MSHR entries", "entries"),
+    "mshr.high_water": ("peak simultaneous MSHR entries", "entries"),
+    "link.in_flight": ("undelivered messages on the link", "messages"),
+    "link.backlog": ("cycles until the link is free", "cycles"),
+    "transport.unacked": ("messages awaiting transport ack",
+                          "messages"),
+    "transport.rto_max": ("largest live retransmit timeout", "cycles"),
+    "transport.oldest_unacked_age": (
+        "age of the oldest unacked message", "cycles"),
+    "transport.reorder_buffered": (
+        "arrivals held for in-order delivery", "messages"),
+}
 
-#: Prometheus-compatible label-name grammar (stricter than values,
-#: which may hold any escaped string).
-LABEL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
+#: a gauge series: (family, sorted ((label, value), ...) tuple)
+GaugeKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
-
-def _label_key(labels: Optional[Dict[str, str]]) -> Tuple:
-    if not labels:
-        return ()
-    for name in labels:
-        if not LABEL_NAME_RE.match(name):
-            raise MetricNameError(
-                f"label name {name!r} violates [a-z_][a-z0-9_]*")
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Instrument:
-    """Base: identity (name + labels), help text, unit."""
-
-    kind = "instrument"
-    __slots__ = ("name", "labels", "help", "unit")
-
-    def __init__(self, name: str, labels: Tuple, help: str, unit: str):
-        self.name = name
-        self.labels = labels
-        self.help = help
-        self.unit = unit
-
-    def label_dict(self) -> Dict[str, str]:
-        return dict(self.labels)
-
-
-class Counter(Instrument):
-    """Monotonic count."""
-
-    kind = "counter"
-    __slots__ = ("value",)
-
-    def __init__(self, name, labels, help, unit):
-        super().__init__(name, labels, help, unit)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} decremented")
-        self.value += amount
-
-    def sample(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
-                "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(), "value": float(self.value)}
-
-
-class Gauge(Instrument):
-    """Point-in-time level; tracks its own high-water mark.  ``fn``
-    makes the gauge *callback-backed*: it is polled at collect time."""
-
-    kind = "gauge"
-    __slots__ = ("value", "high_water", "fn")
-
-    def __init__(self, name, labels, help, unit,
-                 fn: Optional[Callable[[], float]] = None):
-        super().__init__(name, labels, help, unit)
-        self.value = 0.0
-        self.high_water = 0.0
-        self.fn = fn
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-
-    def sample(self) -> Dict[str, object]:
-        if self.fn is not None:
-            self.set(float(self.fn()))
-        return {"name": self.name, "kind": self.kind,
-                "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(), "value": float(self.value),
-                "high_water": float(self.high_water)}
-
-
-class Histogram(Instrument):
-    """Power-of-two bucket histogram (same geometry as
-    :class:`~repro.sim.stats.LatencySampler`), rendered cumulatively
-    by the Prometheus exporter."""
-
-    kind = "histogram"
-    __slots__ = ("buckets", "sum", "count")
-
-    def __init__(self, name, labels, help, unit):
-        super().__init__(name, labels, help, unit)
-        self.buckets: Dict[int, int] = {}
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        bucket = _bucket_of(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.sum += value
-        self.count += 1
-
-    def sample(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
-                "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(),
-                "buckets": {str(b): int(n)
-                            for b, n in sorted(self.buckets.items())},
-                "sum": float(self.sum), "count": int(self.count)}
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
-class MetricsRegistry:
-    """Instruments keyed by (name, labels); hierarchical via prefixes."""
-
-    def __init__(self):
-        self._instruments: Dict[Tuple[str, Tuple], Instrument] = {}
-
-    # -- registration ------------------------------------------------------
-    def _register(self, kind: str, name: str,
-                  labels: Optional[Dict[str, str]], help: str,
-                  unit: str, **kwargs) -> Instrument:
-        validate_metric_name(name)
-        key = (name, _label_key(labels))
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if existing.kind != kind:
-                raise MetricNameError(
-                    f"metric {name!r}{dict(key[1])!r} already registered "
-                    f"as a {existing.kind}, not a {kind}")
-            return existing
-        # one name must stay one kind across all label sets
-        for (other_name, _), other in self._instruments.items():
-            if other_name == name and other.kind != kind:
-                raise MetricNameError(
-                    f"metric {name!r} already registered as a "
-                    f"{other.kind}, not a {kind}")
-        instrument = _KINDS[kind](name, key[1], help, unit, **kwargs)
-        self._instruments[key] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "", unit: str = "",
-                labels: Optional[Dict[str, str]] = None) -> Counter:
-        return self._register("counter", name, labels, help, unit)
-
-    def gauge(self, name: str, help: str = "", unit: str = "",
-              labels: Optional[Dict[str, str]] = None,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        gauge = self._register("gauge", name, labels, help, unit, fn=fn)
-        if fn is not None and gauge.fn is None:
-            gauge.fn = fn
-        return gauge
-
-    def histogram(self, name: str, help: str = "", unit: str = "",
-                  labels: Optional[Dict[str, str]] = None) -> Histogram:
-        return self._register("histogram", name, labels, help, unit)
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self, prefix)
-
-    # -- inspection --------------------------------------------------------
-    def instruments(self) -> List[Instrument]:
-        return [self._instruments[key]
-                for key in sorted(self._instruments)]
-
-    def collect(self) -> List[Dict[str, object]]:
-        """One JSON-safe sample per instrument, sorted by identity
-        (callback gauges are polled here)."""
-        return [inst.sample() for inst in self.instruments()]
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON round-trip exact: every container is a plain dict/list
-        with string keys, so ``json.loads(json.dumps(s)) == s``."""
-        return {"metrics": self.collect()}
-
-
-class MetricsScope:
-    """A child view registering ``<prefix>.<name>`` instruments."""
-
-    __slots__ = ("registry", "prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str):
-        validate_metric_name(prefix)
-        self.registry = registry
-        self.prefix = prefix
-
-    def counter(self, name: str, **kwargs) -> Counter:
-        return self.registry.counter(f"{self.prefix}.{name}", **kwargs)
-
-    def gauge(self, name: str, **kwargs) -> Gauge:
-        return self.registry.gauge(f"{self.prefix}.{name}", **kwargs)
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        return self.registry.histogram(f"{self.prefix}.{name}",
-                                       **kwargs)
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self.registry, f"{self.prefix}.{prefix}")
-
-
-# ---------------------------------------------------------------------------
-# the live health monitor
-# ---------------------------------------------------------------------------
 #: bound on retained per-scrape rows (the gauges keep whole-run
-#: high-water marks, so dropping old rows loses no peak information;
+#: peaks, so dropping old rows loses no peak information;
 #: Chrome counter tracks start at the oldest retained row)
 MAX_SAMPLES = 4096
 
@@ -254,111 +66,60 @@ class HealthMonitor:
 
     A recorder sink (event-driven sampling, never schedules); every
     scrape reads only passive state.  Keeps structured per-scrape rows
-    (bounded ring; each carries a stats-counter snapshot), updates
-    registry gauges (whose high-water marks cover the whole run), and
-    invokes ``on_sample`` callbacks — the CLI's periodic ``repro
-    top``-style console view hangs off those.
+    (bounded ring; each carries a stats-counter snapshot), sets the
+    :data:`GAUGES` series in ``levels`` (last value) and ``peaks``
+    (whole-run high-water mark, positive values only), and invokes
+    ``on_sample`` callbacks — the CLI's periodic ``repro top``-style
+    console view hangs off those.
     """
 
-    def __init__(self, system, registry: MetricsRegistry,
-                 interval: int, top_k: int = 8):
+    def __init__(self, system, interval: int, top_k: int = 8):
         self.system = system
-        self.registry = registry
         self.interval = max(1, int(interval))
         self.top_k = max(1, int(top_k))
         self.samples = deque(maxlen=MAX_SAMPLES)
         self.scrapes = 0
         self.on_sample: List[Callable[[dict], None]] = []
+        self.levels: Dict[GaugeKey, float] = {}
+        self.peaks: Dict[GaugeKey, float] = {}
         self._next_due = self.interval
         self._last_events = 0
         self._last_ts = 0
-        self._g_events = registry.gauge(
-            "engine.events_per_cycle",
-            help="executed events per cycle over the last scrape "
-                 "interval", unit="events/cycle")
-        self._g_pending = registry.gauge(
-            "engine.pending", help="events in the scheduler queue",
-            unit="events")
-        self._g_nonidle = registry.gauge(
-            "engine.pending_nonidle",
-            help="non-idle (real work) events pending", unit="events")
         self._homes = [home for home in
                        list(getattr(system, "llcs", []))
                        + [getattr(system, "gpu_l2", None)]
                        if home is not None]
-        self._home_gauges = {}
-        for home in self._homes:
-            self._home_gauges[home.name] = (
-                registry.gauge("home.queue_depth",
-                               help="deferred + in-transaction requests "
-                                    "held at the home",
-                               unit="requests",
-                               labels={"home": home.name}),
-                registry.gauge("home.bank_backlog",
-                               help="cycles until the busiest bank "
-                                    "frees", unit="cycles",
-                               labels={"home": home.name}))
         self._l1s = [l1 for l1 in
                      list(getattr(system, "cpu_l1s", []))
                      + list(getattr(system, "gpu_l1s", []))
                      if getattr(l1, "mshrs", None) is not None]
-        self._mshr_gauges = {}
-        for l1 in self._l1s:
-            self._mshr_gauges[l1.name] = (
-                registry.gauge("mshr.occupancy",
-                               help="allocated MSHR entries",
-                               unit="entries",
-                               labels={"cache": l1.name}),
-                registry.gauge("mshr.high_water",
-                               help="peak simultaneous MSHR entries",
-                               unit="entries",
-                               labels={"cache": l1.name}))
-        self._transport_gauges = None
-        if hasattr(system.network, "_send_channels"):
-            self._transport_gauges = (
-                registry.gauge("transport.unacked",
-                               help="messages awaiting transport ack",
-                               unit="messages"),
-                registry.gauge("transport.rto_max",
-                               help="largest live retransmit timeout",
-                               unit="cycles"),
-                registry.gauge("transport.oldest_unacked_age",
-                               help="age of the oldest unacked message",
-                               unit="cycles"),
-                registry.gauge("transport.reorder_buffered",
-                               help="arrivals held for in-order "
-                                    "delivery", unit="messages"))
+        self._transport = hasattr(system.network, "_send_channels")
 
     # -- sink protocol -----------------------------------------------------
     def __call__(self, event: TraceEvent) -> None:
         if event.ts >= self._next_due:
             self.sample_at(event.ts)
 
-    def _link_gauges(self, src: str, dst: str):
-        # lazy per-link materialization: identical re-registration
-        # returns the existing instruments
-        return (self.registry.gauge(
-                    "link.in_flight",
-                    help="undelivered messages on the link",
-                    unit="messages", labels={"src": src, "dst": dst}),
-                self.registry.gauge(
-                    "link.backlog",
-                    help="cycles until the link is free",
-                    unit="cycles", labels={"src": src, "dst": dst}))
+    def _set(self, family: str, labels: Tuple, value: float) -> None:
+        key = (family, labels)
+        self.levels[key] = value
+        if value > self.peaks.get(key, 0.0):
+            self.peaks[key] = value
 
     def sample_at(self, ts: int) -> None:
         system = self.system
         engine = system.engine
+        gauge = self._set
         events = engine.events_executed
         window = ts - self._last_ts
         rate = ((events - self._last_events) / window) if window > 0 \
             else 0.0
         self._last_events, self._last_ts = events, ts
-        self._g_events.set(rate)
         pending = engine.pending()
         nonidle = engine.pending_non_idle()
-        self._g_pending.set(pending)
-        self._g_nonidle.set(nonidle)
+        gauge("engine.events_per_cycle", (), rate)
+        gauge("engine.pending", (), pending)
+        gauge("engine.pending_nonidle", (), nonidle)
 
         homes: Dict[str, Dict[str, float]] = {}
         for home in self._homes:
@@ -367,18 +128,18 @@ class HealthMonitor:
             backlog = max(home._bank_free) - ts if home._bank_free else 0
             if backlog < 0:
                 backlog = 0
-            queue_gauge, bank_gauge = self._home_gauges[home.name]
-            queue_gauge.set(deferred + txns)
-            bank_gauge.set(backlog)
+            labels = (("home", home.name),)
+            gauge("home.queue_depth", labels, deferred + txns)
+            gauge("home.bank_backlog", labels, backlog)
             homes[home.name] = {"deferred": deferred, "txns": txns,
                                 "bank_backlog": backlog}
 
         mshr: Dict[str, Dict[str, float]] = {}
         for l1 in self._l1s:
             occupancy = len(l1.mshrs)
-            occ_gauge, hw_gauge = self._mshr_gauges[l1.name]
-            occ_gauge.set(occupancy)
-            hw_gauge.set(l1.mshrs.high_water)
+            labels = (("cache", l1.name),)
+            gauge("mshr.occupancy", labels, occupancy)
+            gauge("mshr.high_water", labels, l1.mshrs.high_water)
             mshr[l1.name] = {"occupancy": occupancy,
                              "capacity": l1.mshrs.capacity,
                              "high_water": l1.mshrs.high_water}
@@ -397,9 +158,9 @@ class HealthMonitor:
             backlog = link.free - ts
             if backlog < 0:
                 backlog = 0
-            flight_gauge, backlog_gauge = self._link_gauges(src, dst)
-            flight_gauge.set(in_flight)
-            backlog_gauge.set(backlog)
+            labels = (("dst", dst), ("src", src))
+            gauge("link.in_flight", labels, in_flight)
+            gauge("link.backlog", labels, backlog)
             if in_flight or backlog:
                 links.append({
                     "src": src, "dst": dst, "in_flight": in_flight,
@@ -408,7 +169,7 @@ class HealthMonitor:
                                    if (src, dst) in oldest else 0)})
 
         transport = None
-        if self._transport_gauges is not None:
+        if self._transport:
             unacked = 0
             rto_max = 0
             oldest_age = 0
@@ -422,15 +183,11 @@ class HealthMonitor:
                         oldest_age = ts - first_sent
             buffered = sum(len(channel.buffer) for channel in
                            network._recv_channels.values())
-            g_unacked, g_rto, g_oldest, g_buffered = \
-                self._transport_gauges
-            g_unacked.set(unacked)
-            g_rto.set(rto_max)
-            g_oldest.set(oldest_age)
-            g_buffered.set(buffered)
             transport = {"unacked": unacked, "rto_max": rto_max,
                          "oldest_unacked_age": oldest_age,
                          "reorder_buffered": buffered}
+            for name, value in transport.items():
+                gauge(f"transport.{name}", (), value)
 
         row = {
             "ts": ts,
@@ -463,10 +220,9 @@ class HealthMonitor:
         """Last scrape + whole-run peaks, for diagnostic dumps and the
         JSON health artifact."""
         peaks = {}
-        for inst in self.registry.instruments():
-            if inst.kind == "gauge" and inst.high_water > 0:
-                label = "".join(f"{{{k}={v}}}" for k, v in inst.labels)
-                peaks[f"{inst.name}{label}"] = inst.high_water
+        for (family, labels), peak in sorted(self.peaks.items()):
+            label = "".join(f"{{{k}={v}}}" for k, v in labels)
+            peaks[f"{family}{label}"] = peak
         summary: Dict[str, object] = {
             "interval": self.interval,
             "scrapes": self.scrapes,
@@ -489,12 +245,27 @@ class HealthMonitor:
             }
         return summary
 
+    def gauge_samples(self) -> List[Dict[str, object]]:
+        """One JSON-safe sample per gauge series, sorted by (family,
+        labels): the Prometheus exporter's input."""
+        samples = []
+        for key in sorted(self.levels):
+            family, labels = key
+            help_text, unit = GAUGES[family]
+            samples.append({"name": family, "kind": "gauge",
+                            "help": help_text, "unit": unit,
+                            "labels": dict(labels),
+                            "value": float(self.levels[key]),
+                            "high_water": float(
+                                self.peaks.get(key, 0.0))})
+        return samples
+
     def snapshot(self) -> Dict[str, object]:
-        """JSON-safe copy: registry + retained scrape rows."""
+        """JSON-safe copy: gauge samples + retained scrape rows."""
         return {
             "interval": self.interval,
             "scrapes": self.scrapes,
-            "registry": self.registry.snapshot(),
+            "registry": {"metrics": self.gauge_samples()},
             "samples": [dict(row) for row in self.samples],
         }
 

@@ -1,17 +1,18 @@
-"""Prometheus text exposition + JSON-snapshot exporters.
+"""Prometheus text exposition + validating parser.
 
-Renders :class:`~repro.obs.monitor.MetricsRegistry` instruments and
-flat :class:`~repro.sim.stats.StatsRegistry` counters into the
-Prometheus text exposition format (v0.0.4), plus a deliberately
-strict :func:`parse_prometheus_text` used by tests and the CI
-``obs-smoke`` job to validate what we emit — names against the
-Prometheus grammar, label values against the escaping rules —
-without needing a real Prometheus install in the container.
+Renders the health monitor's gauge samples
+(:meth:`~repro.obs.monitor.HealthMonitor.gauge_samples`, each with a
+``_high_water`` series) and flat
+:class:`~repro.sim.stats.StatsRegistry` counters into the Prometheus
+text exposition format (v0.0.4), plus a deliberately strict
+:func:`parse_prometheus_text` used by tests and the CI ``obs-smoke``
+job to validate what we emit — names against the Prometheus grammar,
+label values against the escaping rules — without needing a real
+Prometheus install in the container.
 
 Dotted registry names map to Prometheus by replacing ``.`` with
 ``_`` under a ``repro_`` namespace prefix: ``home.queue_depth``
-becomes ``repro_home_queue_depth``.  Power-of-two histograms render
-cumulatively with ``le`` bucket bounds.
+becomes ``repro_home_queue_depth``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, Iterable, List, Tuple
 #: Prometheus metric-name grammar (we never emit ':', reserved for
 #: recording rules)
 PROM_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-PROM_LABEL_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
 NAMESPACE = "repro"
 
@@ -47,13 +47,11 @@ def escape_help(text: str) -> str:
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _render_labels(labels: Dict[str, str],
-                   extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    pairs = sorted(labels.items()) + list(extra)
-    if not pairs:
+def _render_labels(labels: Dict[str, str]) -> str:
+    if not labels:
         return ""
     inner = ",".join(f'{k}="{escape_label_value(v)}"'
-                     for k, v in pairs)
+                     for k, v in sorted(labels.items()))
     return "{" + inner + "}"
 
 
@@ -61,11 +59,6 @@ def _format_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-def registry_samples(registry) -> List[Dict[str, object]]:
-    """Samples from a :class:`MetricsRegistry` (polls gauges)."""
-    return registry.collect()
 
 
 def stats_samples(stats) -> List[Dict[str, object]]:
@@ -89,21 +82,15 @@ def stats_samples(stats) -> List[Dict[str, object]]:
 
 
 def prometheus_text(samples: Iterable[Dict[str, object]]) -> str:
-    """Render samples (see :meth:`Instrument.sample`) as exposition
-    text.  ``# HELP`` / ``# TYPE`` emit once per family, families stay
-    contiguous, histograms render cumulative ``_bucket`` series plus
-    ``_sum`` / ``_count``."""
+    """Render ``{"name", "kind", "help", "unit", "labels", "value"}``
+    samples (gauges may add ``high_water``) as exposition text.
+    ``# HELP`` / ``# TYPE`` emit once per family and families stay
+    contiguous."""
     by_family: Dict[str, List[Dict[str, object]]] = {}
-    order: List[str] = []
     for sample in samples:
-        name = sample["name"]
-        if name not in by_family:
-            by_family[name] = []
-            order.append(name)
-        by_family[name].append(sample)
+        by_family.setdefault(sample["name"], []).append(sample)
     lines: List[str] = []
-    for name in order:
-        family = by_family[name]
+    for name, family in by_family.items():
         prom = sanitize_metric_name(name)
         kind = family[0]["kind"]
         help_text = family[0].get("help") or name
@@ -111,38 +98,15 @@ def prometheus_text(samples: Iterable[Dict[str, object]]) -> str:
         if unit:
             help_text = f"{help_text} [{unit}]"
         lines.append(f"# HELP {prom} {escape_help(help_text)}")
-        lines.append(f"# TYPE {prom} "
-                     f"{'gauge' if kind == 'gauge' else kind}")
+        lines.append(f"# TYPE {prom} {kind}")
         for sample in family:
-            labels = dict(sample.get("labels") or {})
-            if kind == "histogram":
-                cumulative = 0
-                for bucket, count in sorted(
-                        ((int(b), n) for b, n in
-                         sample["buckets"].items())):
-                    cumulative += count
-                    bound = float(2 ** bucket)
-                    lines.append(
-                        f"{prom}_bucket"
-                        f"{_render_labels(labels, (('le', repr(bound)),))}"
-                        f" {cumulative}")
+            labels = _render_labels(sample.get("labels") or {})
+            lines.append(f"{prom}{labels} "
+                         f"{_format_value(sample['value'])}")
+            if kind == "gauge" and "high_water" in sample:
                 lines.append(
-                    f"{prom}_bucket"
-                    f"{_render_labels(labels, (('le', '+Inf'),))}"
-                    f" {sample['count']}")
-                lines.append(f"{prom}_sum{_render_labels(labels)} "
-                             f"{_format_value(sample['sum'])}")
-                lines.append(f"{prom}_count{_render_labels(labels)} "
-                             f"{sample['count']}")
-            else:
-                lines.append(f"{prom}{_render_labels(labels)} "
-                             f"{_format_value(sample['value'])}")
-                if kind == "gauge" and "high_water" in sample:
-                    hw = sanitize_metric_name(
-                        f"{name}.high_water")
-                    lines.append(
-                        f"{hw}{_render_labels(labels)} "
-                        f"{_format_value(sample['high_water'])}")
+                    f"{sanitize_metric_name(f'{name}.high_water')}"
+                    f"{labels} {_format_value(sample['high_water'])}")
     return "\n".join(lines) + "\n"
 
 

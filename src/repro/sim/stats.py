@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from math import ceil
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Set
 
 #: The registry-name grammar (documented in DESIGN.md): dotted
 #: lower-case segments, each ``[a-z][a-z0-9_]*`` for the first segment
@@ -85,7 +85,7 @@ class StatsRegistry:
         self._counters: Dict[str, float] = defaultdict(float)
         self._groups: Dict[str, Dict[str, float]] = defaultdict(
             lambda: defaultdict(float))
-        self._scopes: Dict[str, ScopedStats] = {}
+        self._scopes: Set[str] = set()
 
     def scoped(self, prefix: str) -> ScopedStats:
         """A :class:`ScopedStats` view writing ``<prefix>.*``.  Each
@@ -97,11 +97,8 @@ class StatsRegistry:
                 f"stats scope {prefix!r} already registered — two "
                 "components may not share a metric namespace")
         scope = ScopedStats(self, prefix)
-        self._scopes[prefix] = scope
+        self._scopes.add(prefix)
         return scope
-
-    def scopes(self) -> Iterable[str]:
-        return list(self._scopes)
 
     def scope_total(self, metric: str) -> float:
         """Sum ``home.<scope>.<metric>`` over every home (the Spandex
@@ -355,24 +352,13 @@ class LatencySampler:
     @classmethod
     def from_snapshot(cls, payload: Mapping[str, object]
                       ) -> "LatencySampler":
-        """Rebuild a sampler from :meth:`snapshot` output.
-
-        Accepts the current dict format and the legacy 4-tuple / JSON
-        list ``(count, sum, min, max)`` format (histograms then start
-        empty, so percentiles degrade to the observed max).
-        """
+        """Rebuild a sampler from :meth:`snapshot` output."""
         sampler = cls()
         for label, entry in payload.items():
-            if isinstance(entry, Mapping):
-                sampler._data[label] = [
-                    int(entry["count"]), float(entry["sum"]),
-                    float(entry["min"]), float(entry["max"])]
-                sampler._hist[label] = {
-                    int(bucket): int(n)
-                    for bucket, n in entry.get("hist", {}).items()}
-            else:
-                count, total, lo, hi = entry
-                sampler._data[label] = [int(count), float(total),
-                                        float(lo), float(hi)]
-                sampler._hist[label] = {}
+            sampler._data[label] = [
+                int(entry["count"]), float(entry["sum"]),
+                float(entry["min"]), float(entry["max"])]
+            sampler._hist[label] = {
+                int(bucket): int(n)
+                for bucket, n in entry.get("hist", {}).items()}
         return sampler

@@ -28,8 +28,8 @@ from ..mem.dram import MainMemory
 from ..network.noc import LatencyModel, Network
 from ..network.reliable import ReliableNetwork
 from ..network.topology import Attachment, TopoEndpoint, build_topology
-from ..obs import (HealthMonitor, MetricsRegistry, SpanCollector,
-                   TraceFilter, TraceRecorder)
+from ..obs import (HealthMonitor, SpanCollector, TraceFilter,
+                   TraceRecorder)
 from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
@@ -94,7 +94,6 @@ class System:
         # Observability must exist before _build(): L1 controllers copy
         # engine.tracer into their MSHR files at construction time.
         self.tracer: Optional[TraceRecorder] = None
-        self.registry: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanCollector] = None
         self.monitor: Optional[HealthMonitor] = None
         if config.trace is not None:
@@ -125,9 +124,8 @@ class System:
         if config.trace.monitor_interval <= 0:
             self.tracer.sinks.append(self.spans)
         else:
-            self.registry = MetricsRegistry()
             self.monitor = HealthMonitor(
-                self, self.registry, config.trace.monitor_interval,
+                self, config.trace.monitor_interval,
                 top_k=config.trace.health_top_k)
             # one fused sink instead of two: the sink fan-out loop runs
             # per trace event, so each extra sink costs a call per

@@ -1,97 +1,50 @@
-"""MetricsRegistry instruments, name grammar, and HealthMonitor
-sampling behaviour."""
+"""HealthMonitor sampling behaviour and its gauge table."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import (Counter, Gauge, HealthMonitor, Histogram,
-                       MetricsRegistry, TraceEvent, format_health)
-from repro.sim.stats import MetricNameError, StatsRegistry
-from repro.system import (TraceConfig, WatchdogConfig, build_system,
-                          scaled_config)
+from repro.obs import (GAUGES, HealthMonitor, TraceEvent, format_health,
+                       sanitize_metric_name)
+from repro.sim.stats import (MetricNameError, StatsRegistry,
+                             validate_metric_name)
+from repro.system import (FaultConfig, TraceConfig, WatchdogConfig,
+                          build_system, scaled_config)
 from repro.workloads import MICROBENCHMARKS
 
 
 # ---------------------------------------------------------------------------
-# registry
+# gauge table
 # ---------------------------------------------------------------------------
-def test_instrument_kinds_and_values():
-    registry = MetricsRegistry()
-    counter = registry.counter("a.count", help="things", unit="things")
-    assert isinstance(counter, Counter)
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-    gauge = registry.gauge("a.level")
-    assert isinstance(gauge, Gauge)
-    gauge.set(7)
-    gauge.set(3)
-    assert gauge.value == 3 and gauge.high_water == 7
-
-    histogram = registry.histogram("a.dist")
-    assert isinstance(histogram, Histogram)
-    for value in (1, 5, 5, 300):
-        histogram.observe(value)
-    assert histogram.count == 4 and histogram.sum == 311
-
-
-def test_registration_is_idempotent_per_name_and_labels():
-    registry = MetricsRegistry()
-    first = registry.counter("x.y", labels={"shard": "llc0"})
-    again = registry.counter("x.y", labels={"shard": "llc0"})
-    assert first is again
-    other = registry.counter("x.y", labels={"shard": "llc1"})
-    assert other is not first
-    assert len(registry.instruments()) == 2
-
-
-def test_kind_collision_raises():
-    registry = MetricsRegistry()
-    registry.counter("x.y")
-    with pytest.raises(MetricNameError):
-        registry.gauge("x.y")
-    # also across label sets: one name stays one kind
-    with pytest.raises(MetricNameError):
-        registry.gauge("x.y", labels={"shard": "llc0"})
-
-
 def test_name_grammar_enforced():
-    registry = MetricsRegistry()
+    for family, (help_text, unit) in GAUGES.items():
+        assert validate_metric_name(family) == family
+        assert sanitize_metric_name(family) == \
+            "repro_" + family.replace(".", "_")
+        assert help_text and unit
     for bad in ("Upper.case", "1starts.with.digit", "trailing.",
                 "sp ace", "dash-es.allowed", ""):
         with pytest.raises(MetricNameError):
-            registry.counter(bad)
-    with pytest.raises(MetricNameError):
-        registry.gauge("ok.name", labels={"BadLabel": "v"})
+            validate_metric_name(bad)
 
 
-def test_gauge_callback_polled_at_collect():
-    registry = MetricsRegistry()
-    level = {"value": 0}
-    registry.gauge("cb.level", fn=lambda: level["value"])
-    level["value"] = 42
-    (sample,) = registry.collect()
-    assert sample["value"] == 42 and sample["high_water"] == 42
-
-
-def test_scope_prefixes_names():
-    registry = MetricsRegistry()
-    scope = registry.scope("engine").scope("queue")
-    counter = scope.counter("drops")
-    assert counter.name == "engine.queue.drops"
-
-
-def test_snapshot_json_round_trip_exact():
-    registry = MetricsRegistry()
-    registry.counter("a.b", labels={"k": "v"}).inc(3)
-    registry.gauge("a.g").set(1.5)
-    registry.histogram("a.h").observe(9)
-    snapshot = registry.snapshot()
-    assert json.loads(json.dumps(snapshot)) == snapshot
+def test_gauge_keeps_last_value_and_peak_per_series():
+    monitor = HealthMonitor(SimpleNamespace(network=None), interval=10)
+    llc0 = (("home", "llc0"),)
+    monitor._set("home.queue_depth", llc0, 7)
+    monitor._set("home.queue_depth", llc0, 3)
+    monitor._set("home.queue_depth", (("home", "llc1"),), 0)
+    assert monitor.levels == {("home.queue_depth", llc0): 3,
+                              ("home.queue_depth", (("home", "llc1"),)): 0}
+    # peaks keep positive high-water marks only
+    assert monitor.peaks == {("home.queue_depth", llc0): 7}
+    samples = monitor.gauge_samples()
+    assert [(s["labels"], s["value"], s["high_water"])
+            for s in samples] == [({"home": "llc0"}, 3.0, 7.0),
+                                  ({"home": "llc1"}, 0.0, 0.0)]
+    assert monitor.health_summary()["peaks"] == \
+        {"home.queue_depth{home=llc0}": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +119,45 @@ def test_on_sample_callbacks_fire_per_scrape():
 def test_monitor_gauge_high_water_is_whole_run_peak():
     system = _monitored_system()
     system.run(max_events=30_000_000)
-    peak = max(inst.high_water
-               for inst in system.registry.instruments()
-               if inst.kind == "gauge" and inst.name == "mshr.high_water")
+    monitor = system.monitor
+    peak = max(value for (family, _), value in monitor.peaks.items()
+               if family == "mshr.high_water")
     direct = max(l1.mshrs.high_water
                  for l1 in system.cpu_l1s + system.gpu_l1s)
     assert peak == direct
+    # a series' peak is the largest level any scrape set it to
+    for key, value in monitor.levels.items():
+        assert monitor.peaks.get(key, 0.0) >= value
+
+
+def test_every_gauge_family_is_exported_on_a_lossy_sharded_run():
+    """The gauge table against the heaviest scrape surface: two shards
+    across two sockets on a lossy fabric with the reliable transport
+    armed, so every family (transport included) is set."""
+    faults = FaultConfig(seed=0, drop_prob=0.02, dup_prob=0.02,
+                         reorder_prob=0.05, reorder_window=64)
+    system = _monitored_system(llc_shards=2, topology="multi_socket",
+                               num_sockets=2, faults=faults)
+    system.run(max_events=30_000_000)
+    samples = system.monitor.gauge_samples()
+    for family, (help_text, unit) in GAUGES.items():
+        mine = [sample for sample in samples if sample["name"] == family]
+        assert mine, f"{family} never scraped"
+        assert all(sample["help"] == help_text
+                   and sample["unit"] == unit for sample in mine)
+    assert {sample["name"] for sample in samples} == set(GAUGES)
+    keys = [(sample["name"], sorted(sample["labels"].items()))
+            for sample in samples]
+    assert keys == sorted(keys)
+
+
+def test_snapshot_json_round_trip_exact():
+    system = _monitored_system()
+    system.run(max_events=30_000_000)
+    snapshot = system.monitor.snapshot()
+    assert snapshot["registry"]["metrics"] == \
+        system.monitor.gauge_samples()
+    assert json.loads(json.dumps(snapshot)) == snapshot
 
 
 def test_health_summary_and_format():
@@ -188,8 +174,6 @@ def test_health_summary_and_format():
 
 
 def test_monitor_ignores_events_before_interval():
-    registry = MetricsRegistry()
-
     class _Engine:
         events_executed = 10
         def pending(self):
@@ -211,7 +195,7 @@ def test_monitor_ignores_events_before_interval():
         gpu_l1s = ()
         spans = None
 
-    monitor = HealthMonitor(_System(), registry, interval=100)
+    monitor = HealthMonitor(_System(), interval=100)
     monitor(TraceEvent(5, "net.send", "a"))
     assert monitor.scrapes == 0
     monitor(TraceEvent(100, "net.send", "a"))

@@ -11,11 +11,10 @@ import pytest
 from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import Message, MsgKind
 from repro.network.noc import LatencyModel, Network
-from repro.obs import (SPAN_STAGES, HealthMonitor, MetricsRegistry,
-                       SpanCollector, TraceFilter, TraceRecorder,
-                       chrome_trace_events, format_timeline, hop_class,
-                       load_chrome_trace, validate_chrome_trace,
-                       write_chrome_trace)
+from repro.obs import (SPAN_STAGES, HealthMonitor, SpanCollector,
+                       TraceFilter, TraceRecorder, chrome_trace_events,
+                       format_timeline, hop_class, load_chrome_trace,
+                       validate_chrome_trace, write_chrome_trace)
 from repro.obs.export import counter_events
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
@@ -306,7 +305,7 @@ def test_metrics_sample_on_epoch_boundaries():
     system = SimpleNamespace(
         engine=engine, stats=stats,
         network=Network(engine, stats, LatencyModel()))
-    monitor = HealthMonitor(system, MetricsRegistry(), interval=100)
+    monitor = HealthMonitor(system, interval=100)
     recorder = make_recorder()
     recorder.sinks.append(monitor)
     clock = recorder.engine

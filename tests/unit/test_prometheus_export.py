@@ -5,12 +5,22 @@ import json
 
 import pytest
 
-from repro.obs import (MetricsRegistry, parse_prometheus_text,
-                       prometheus_text, registry_samples,
+from repro.obs import (parse_prometheus_text, prometheus_text,
                        sanitize_metric_name, stats_samples,
                        validate_chrome_trace)
 from repro.obs.prometheus import escape_label_value
 from repro.sim.stats import StatsRegistry
+from repro.system import TraceConfig, build_system, scaled_config
+from repro.workloads import MICROBENCHMARKS
+
+
+def _gauge(name, value, high_water=None, labels=None, help="",
+           unit=""):
+    """A gauge sample in the shape HealthMonitor.gauge_samples emits."""
+    return {"name": name, "kind": "gauge", "help": help, "unit": unit,
+            "labels": dict(labels or {}), "value": float(value),
+            "high_water": float(value if high_water is None
+                                else high_water)}
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +43,9 @@ def test_label_value_escaping_round_trips_through_parser():
         "brace": "a}b{c",          # embedded } must not end the body
         "mixed": 'x\\"y\nz}',
     }
-    registry = MetricsRegistry()
-    for key, value in nasty.items():
-        registry.gauge("esc.check", labels={"case": key,
-                                            "payload": value}).set(1)
-    text = prometheus_text(registry_samples(registry))
+    text = prometheus_text(
+        [_gauge("esc.check", 1, labels={"case": key, "payload": value})
+         for key, value in nasty.items()])
     parsed = parse_prometheus_text(text)
     recovered = {labels["case"]: labels["payload"]
                  for name, labels, _ in parsed
@@ -55,41 +63,23 @@ def test_escape_label_value_is_exposition_compliant():
 # exposition rendering
 # ---------------------------------------------------------------------------
 def test_exposition_families_and_series():
-    registry = MetricsRegistry()
-    registry.counter("req.count", help="requests", unit="requests",
-                     labels={"shard": "llc0"}).inc(3)
-    registry.counter("req.count", labels={"shard": "llc1"}).inc(4)
-    gauge = registry.gauge("queue.depth", help="depth")
-    gauge.set(9)
-    gauge.set(2)
-    histogram = registry.histogram("lat.dist", help="latency",
-                                   unit="cycles")
-    for value in (1, 3, 3, 100):
-        histogram.observe(value)
-    text = prometheus_text(registry_samples(registry))
+    counter = {"name": "req.count", "kind": "counter",
+               "help": "requests", "unit": "requests"}
+    text = prometheus_text([
+        dict(counter, labels={"shard": "llc0"}, value=3.0),
+        dict(counter, labels={"shard": "llc1"}, value=4.0),
+        _gauge("queue.depth", 2, high_water=9, help="depth"),
+    ])
 
     assert text.count("# TYPE repro_req_count counter") == 1
+    assert "# HELP repro_req_count requests [requests]" in text
     assert 'repro_req_count{shard="llc0"} 3' in text
     assert 'repro_req_count{shard="llc1"} 4' in text
     # gauges also expose their high-water series
+    assert "# TYPE repro_queue_depth gauge" in text
     assert "repro_queue_depth 2" in text
     assert "repro_queue_depth_high_water 9" in text
-    # histogram: cumulative buckets, +Inf, sum, count
-    assert 'repro_lat_dist_bucket{le="+Inf"} 4' in text
-    assert "repro_lat_dist_sum 107" in text
-    assert "repro_lat_dist_count 4" in text
-    parsed = parse_prometheus_text(text)
-    inf_rows = [(name, labels, value) for name, labels, value in parsed
-                if labels.get("le") == "+Inf"]
-    assert inf_rows == [("repro_lat_dist_bucket", {"le": "+Inf"}, 4.0)]
-    # cumulative monotonicity across the finite bounds
-    bounds = [(float(labels["le"]), value)
-              for name, labels, value in parsed
-              if name == "repro_lat_dist_bucket"
-              and labels["le"] != "+Inf"]
-    assert bounds == sorted(bounds)
-    assert [count for _, count in bounds] == \
-        sorted(count for _, count in bounds)
+    assert parse_prometheus_text(text)
 
 
 def test_stats_samples_flatten_groups_into_label_dimension():
@@ -139,16 +129,22 @@ def test_parser_accepts_comments_blanks_and_infinities():
 # JSON snapshot round-trip
 # ---------------------------------------------------------------------------
 def test_registry_snapshot_survives_json_round_trip():
-    registry = MetricsRegistry()
-    registry.counter("a.count", labels={"x": "1"}).inc(2)
-    registry.gauge("a.gauge").set(3.5)
-    registry.histogram("a.hist").observe(17)
-    snapshot = registry.snapshot()
-    rehydrated = json.loads(json.dumps(snapshot))
-    assert rehydrated == snapshot
-    # and rendering the rehydrated samples still produces valid text
-    text = prometheus_text(rehydrated["metrics"])
-    assert parse_prometheus_text(text)
+    config = scaled_config("SDD", 2, 2,
+                           trace=TraceConfig(monitor_interval=1000))
+    system = build_system(config)
+    system.load_workload(MICROBENCHMARKS["ReuseS"](
+        num_cpus=2, num_gpus=2, warps_per_cu=1))
+    system.run(max_events=30_000_000)
+    samples = (system.monitor.gauge_samples()
+               + stats_samples(system.stats))
+    rehydrated = json.loads(json.dumps(samples))
+    assert rehydrated == samples
+    # rendering the rehydrated samples reproduces the exposition
+    text = prometheus_text(rehydrated)
+    assert text == prometheus_text(samples)
+    names = {name for name, _, _ in parse_prometheus_text(text)}
+    assert {"repro_home_queue_depth", "repro_mshr_high_water",
+            "repro_link_in_flight"} <= names
 
 
 # ---------------------------------------------------------------------------

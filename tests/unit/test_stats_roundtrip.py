@@ -107,12 +107,3 @@ def test_sampler_snapshot_round_trips_exactly():
     # huge values clamp into the last bucket
     assert max(int(b) for b in snap["lat"]["hist"]) \
         == HISTOGRAM_BUCKETS - 1
-
-
-def test_sampler_accepts_legacy_snapshot_format():
-    rebuilt = LatencySampler.from_snapshot(
-        {"lat": [4, 100.0, 10.0, 40.0]})
-    assert rebuilt.count("lat") == 4
-    assert rebuilt.mean("lat") == 25.0
-    # no histogram: percentile degrades to the observed max
-    assert rebuilt.percentile("lat", 50) == 40.0
