@@ -73,6 +73,8 @@ class InvariantChecker:
                  on_violation: Optional[
                      Callable[[InvariantViolation], None]] = None):
         self.system = system
+        #: the audited homes (fixed once the system is built)
+        self._homes = system.owner_homes()
         self.period = period
         self.on_violation = on_violation
         self.audits = 0
@@ -132,20 +134,10 @@ class InvariantChecker:
     def _l1s(self):
         return list(self.system.cpu_l1s) + list(self.system.gpu_l1s)
 
-    def _homes(self):
-        homes = []
-        if self.system.gpu_l2 is not None:
-            homes.append(self.system.gpu_l2)
-        for shard in getattr(self.system, "llcs", None) \
-                or [self.system.llc]:
-            if hasattr(shard, "_owned_mask"):
-                homes.append(shard)
-        return homes
-
     def _home_of(self, l1, line: int) -> Optional[object]:
         """The home auditing ``line`` for ``l1`` (a shard when sharded)."""
         target = l1.home_for(line) if hasattr(l1, "home_for") else l1.home
-        for home in self._homes():
+        for home in self._homes:
             if home.name == target:
                 return home
         return None
@@ -183,7 +175,7 @@ class InvariantChecker:
                  f"(audit {record.first_audit}), still present at cycle "
                  f"{now} (audit {self.audits})",
                  f"holders then {record.holders}, now {holders_now}"]
-        for home in self._homes():
+        for home in self._homes:
             txns = [f"txn {t.txn_id} {t.kind} acks={t.acks_needed} "
                     f"data_mask=0x{t.data_mask:04x}"
                     for t in getattr(home, "_txns", {}).values()
@@ -227,7 +219,7 @@ class InvariantChecker:
     def _check_home_ownership(self, final: bool = False) -> None:
         holders = self._writable_holders()
         fresh_mismatches: Dict[Tuple[int, int], MismatchRecord] = {}
-        for home in self._homes():
+        for home in self._homes:
             for resident in home.array.lines():
                 owned_any = False
                 for index, owner in enumerate(resident.owner):
@@ -303,7 +295,7 @@ class InvariantChecker:
                         f"0x{resident.line:x}")
 
     def _check_value_agreement(self) -> None:
-        for home in self._homes():
+        for home in self._homes:
             for resident in home.array.lines():
                 for index in range(16):
                     if resident.owner[index] is not None:

@@ -967,12 +967,15 @@ def _cmd_verify(args) -> int:
 
     schedules = deliveries = 0
     failures = []
+    capped = []
     for scenario in scenarios:
         for config_name in configs:
             result = make_explorer().explore(scenario, config_name,
                                              coverage=recorder)
             schedules += result.schedules
             deliveries += result.deliveries
+            if not result.complete:
+                capped.append(f"{scenario.name}@{config_name}")
             if not result.ok:
                 failures.extend(result.failures)
                 if not args.keep_going:
@@ -981,6 +984,14 @@ def _cmd_verify(args) -> int:
           f"({deliveries:,} deliveries) over {len(scenarios)} "
           f"scenario(s) x {len(configs)} configuration(s): "
           f"{len(failures)} violation(s)")
+    if args.mode == "walk":
+        print("random walk: no (scenario, config) pair is claimed "
+              "explored fully")
+    else:
+        pairs = len(scenarios) * len(configs)
+        print(f"{pairs - len(capped)} of {pairs} (scenario, config) "
+              f"pairs explored fully; capped: "
+              f"{', '.join(capped) or 'none'}")
     if recorder is not None:
         print(format_coverage(coverage_report(recorder)))
     if failures:

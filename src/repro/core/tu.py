@@ -84,7 +84,7 @@ class TranslationUnit(Component):
         #: 'cpu' | 'gpu' — criticality weighting keys on the device
         #: class (paper: CPU accesses have less latency tolerance), not
         #: on the cache's protocol family.  Device names start with the
-        #: class letter in both builders ('cpu0'/'gpu0', 'c0'/'g0').
+        #: class letter ('cpu0.l1' / 'gpu0.l1').
         self.device_class = "gpu" if l1.name.startswith("g") else "cpu"
         self._pred_pending: Dict[int, int] = {}  # req_id -> line
         l1.tu = self

@@ -30,10 +30,10 @@ from ..network.reliable import ReliableNetwork
 from ..network.topology import Attachment, TopoEndpoint, build_topology
 from ..obs import (HealthMonitor, SpanCollector, TraceFilter,
                    TraceRecorder)
-from ..protocols.denovo import DeNovoL1
+from ..protocols.denovo import DeNovoL1, DnState
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
-from ..protocols.mesi import MESIL1
+from ..protocols.mesi import MESIL1, MesiState
 from ..protocols.mesi_llc import MESIDirectoryLLC
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
@@ -43,14 +43,16 @@ from .config import SystemConfig
 class System:
     """A fully wired machine ready to execute a workload."""
 
-    def __init__(self, config: SystemConfig):
+    def __init__(self, config: SystemConfig, network_cls=None):
         self.config = config
         self.engine = Engine()
         self.stats = StatsRegistry()
         self.latency_model = LatencyModel(default=config.net_default)
         # Zero-overhead passthrough: the reliable-transport sublayer is
         # only interposed when a delivery-fault class is armed; every
-        # other run keeps the plain Network's unchanged hot path.
+        # other run keeps the plain Network's unchanged hot path
+        # (``network_cls`` substitutes a subclass, e.g. the explorer's
+        # ControlledNetwork).
         if config.faults is not None and config.faults.unreliable:
             self.network = ReliableNetwork(
                 self.engine, self.stats, self.latency_model,
@@ -60,9 +62,9 @@ class System:
                 dead_cycles=config.transport_dead_cycles)
             self.network.diagnostic_source = self
         else:
-            self.network = Network(self.engine, self.stats,
-                                   self.latency_model,
-                                   config.link_bytes_per_cycle)
+            self.network = (network_cls or Network)(
+                self.engine, self.stats, self.latency_model,
+                config.link_bytes_per_cycle)
         self.dram = MainMemory(self.engine, self.stats,
                                latency=config.dram_latency,
                                banks=config.llc_banks)
@@ -324,14 +326,21 @@ class System:
         for cu, warp_traces in zip(self.gpus, workload.gpu_traces):
             cu.warps = [Warp(t) for t in warp_traces]
 
+    def owner_homes(self) -> List:
+        """The Spandex-style homes (those tracking per-word owners):
+        the GPU L2 and every Spandex shard, never the MESI directory."""
+        homes = [] if self.gpu_l2 is None else [self.gpu_l2]
+        for shard in self.llcs:
+            if hasattr(shard, "_owned_mask"):
+                homes.append(shard)
+        return homes
+
     def read_coherent(self, addr: int) -> int:
         """Owner-aware functional read for post-run validation.
 
         Looks for the word in (priority order) an owning L1, the
         home-level caches, then DRAM.
         """
-        from ..protocols.denovo import DeNovoL1, DnState
-        from ..protocols.mesi import MESIL1, MesiState
         line = addr & ~63
         index = (addr >> 2) & 15
         for l1 in list(self.cpu_l1s) + list(self.gpu_l1s):

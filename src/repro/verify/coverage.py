@@ -57,12 +57,13 @@ class CoverageRecorder:
 
     # -- wiring --------------------------------------------------------
     def attach(self, system) -> None:
-        self._resolve = dict(system.l1s)
-        for shard in getattr(system, "llcs", None) or [system.llc]:
-            self._resolve[shard.name] = shard
+        l1s = list(system.cpu_l1s) + list(system.gpu_l1s)
+        # deliveries address components by their network name
+        self._resolve = {component.name: component
+                         for component in l1s + system.llcs}
         if system.gpu_l2 is not None:
             self._resolve[system.gpu_l2.name] = system.gpu_l2
-        for l1 in list(system.cpu_l1s) + list(system.gpu_l1s):
+        for l1 in l1s:
             self._wrap_access(l1)
         network = system.network
         if hasattr(network, "delivery_observer"):

@@ -46,6 +46,10 @@ from .systems import THREAD_NAMES, VerifySystem
 EVENT_BUDGET = 2_000_000
 DELIVERY_BUDGET = 20_000
 
+#: scenario spec keys passed to the system build (SystemConfig fields)
+SYSTEM_AXES = ("l1_size", "l1_assoc", "llc_shards", "shard_interleave",
+               "request_policy", "owner_pred")
+
 
 class VerificationError(AssertionError):
     """A schedule-level check failed; ``diagnostic`` has the dump."""
@@ -511,16 +515,9 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
     unreliable = bool(verify_drops or verify_dups)
     network_cls = UnreliableControlledNetwork if unreliable \
         else ControlledNetwork
+    axes = {name: spec[name] for name in SYSTEM_AXES if name in spec}
     system = VerifySystem(config_name, network_cls=network_cls,
-                          l1_size=spec.get("l1_size", 8 * 1024),
-                          l1_assoc=spec.get("l1_assoc", 8),
-                          llc_shards=spec.get("llc_shards", 1),
-                          shard_interleave=spec.get("shard_interleave",
-                                                    "line"),
-                          request_policy=spec.get("request_policy",
-                                                  "fixed"),
-                          owner_pred=spec.get("owner_pred", False),
-                          trace=trace)
+                          trace=trace, **axes)
     if unreliable:
         system.network.drop_budget = verify_drops
         system.network.dup_budget = verify_dups
@@ -532,7 +529,7 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
         on_system(system)
     force_nacks = spec.get("force_nacks", 0)
     if force_nacks:
-        for home in system.homes():
+        for home in system.owner_homes():
             if getattr(home, "FORCED_NACK_FAMILIES", ()):
                 home.fault_injector = _ForcedNacks(force_nacks)
     initial: Dict[int, int] = spec.get("initial", {})
@@ -540,7 +537,7 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
     for addr, value in initial.items():
         by_line.setdefault(addr & ~63, {})[(addr >> 2) & 15] = value
     for line, values in by_line.items():
-        system.seed(line, values)
+        system.dram.poke(line, values)
     if coverage is not None:
         coverage.attach(system)
     drivers = [LitmusDriver(system.engine, name, system.l1s[name],

@@ -33,6 +33,23 @@ def test_verify_walk_mode(capsys):
     assert "4 schedules" in capsys.readouterr().out
 
 
+def test_verify_reports_which_pairs_were_capped(capsys):
+    rc = main(["verify", "--scenarios", "two-lines-independent,"
+               "mp-flag-handoff", "--configs", "SMG",
+               "--max-schedules", "8"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "1 of 2 (scenario, config) pairs explored fully; " \
+        "capped: mp-flag-handoff@SMG" in out
+
+    rc = main(["verify", "--scenarios", "two-lines-independent",
+               "--configs", "SMG", "--mode", "walk", "--seeds", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "no (scenario, config) pair is claimed explored fully" in out
+    assert "pairs explored fully;" not in out
+
+
 def test_verify_coverage_report_prints(capsys):
     rc = main(["verify", "--scenarios", "mp-flag-handoff",
                "--configs", "SMG", "--max-schedules", "4",

@@ -57,7 +57,8 @@ def test_verify_system_single_shard_keeps_name():
 @pytest.mark.tier1
 def test_hierarchical_ignores_shard_request():
     system = VerifySystem("HMG", llc_shards=2)
-    assert system.llc_shards == 1
+    assert len(system.llcs) == 1
+    assert system.home_map is None
 
 
 # -- full sweep (nightly) -----------------------------------------------------
