@@ -7,10 +7,11 @@ summary shows the per-cell wall times and the observed speedup.
 """
 
 from repro.analysis.sweep import ResultCache, grid_specs, run_sweep
+from repro.system import scaled_config
 
-SMALL = dict(num_cpus=2, num_gpus=2, warps_per_cu=1)
 GRID = grid_specs(["Indirection", "ReuseO", "ReuseS"],
-                  ["HMG", "SDD"], SMALL)
+                  [scaled_config("HMG", 2, 2), scaled_config("SDD", 2, 2)],
+                  dict(warps_per_cu=1))
 
 
 def run_cold_and_warm(cache_dir):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from ..system.config import (CONFIG_ORDER, HIERARCHICAL_CONFIGS,
-                             SPANDEX_CONFIGS)
+                             SPANDEX_CONFIGS, scaled_config)
 from ..workloads.base import Workload
 
 #: traffic classes in the order the paper's figure legends use
@@ -109,18 +109,15 @@ class ExperimentRunner:
         #: SweepSummary of the most recent :meth:`run` (observability)
         self.last_sweep = None
 
-    def workload_kwargs(self) -> Dict[str, int]:
-        return dict(num_cpus=self.num_cpus, num_gpus=self.num_gpus,
-                    warps_per_cu=self.warps_per_cu)
-
     def run(self, name: str,
             generator: Callable[..., Workload],
             **extra) -> WorkloadResult:
         from .sweep import CellSpec, run_sweep
-        kwargs = self.workload_kwargs()
-        kwargs.update(extra)
-        specs = [CellSpec.make(name, config_name, kwargs,
-                               generator=generator)
+        kwargs = {"warps_per_cu": self.warps_per_cu, **extra}
+        specs = [CellSpec.make(name,
+                               scaled_config(config_name, self.num_cpus,
+                                             self.num_gpus),
+                               kwargs, generator=generator)
                  for config_name in self.configs]
         summary = run_sweep(specs, jobs=self.jobs, cache=self.cache,
                             validate_memory=self.validate_memory,

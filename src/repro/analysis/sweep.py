@@ -10,18 +10,18 @@ Two constraints shape the design:
 
 * ``Op.spin_until`` holds lambdas, so :class:`Workload` objects are not
   picklable.  Workers therefore receive a :class:`CellSpec` — workload
-  *name*, generator kwargs, configuration name — and regenerate the
-  trace locally.  Generators are deterministic (seeded ``random.Random``
-  plus a fixed-base :class:`AddressSpace`), so a regenerated workload is
-  op-for-op identical, and every cell runs on a fresh trace instead of
-  a shared mutable object.
+  *name*, generator kwargs, and the finished :class:`SystemConfig` —
+  and regenerate the trace locally.  Generators are deterministic
+  (seeded ``random.Random`` plus a fixed-base :class:`AddressSpace`),
+  so a regenerated workload is op-for-op identical, and every cell
+  runs on a fresh trace instead of a shared mutable object.
 * :class:`~repro.sim.stats.StatsRegistry` is not picklable either (its
   grouped counters are a lambda-backed defaultdict), so workers return
   plain ``snapshot()`` dicts and the parent rebuilds registries with
   ``StatsRegistry.from_snapshot`` before folding them together.
 
 Cache entries are keyed by a content hash of (workload name, generator
-kwargs, the full scaled configuration parameters, run options, and a
+kwargs, the cell's full ``SystemConfig``, run options, and a
 fingerprint of the simulator's own source), so any code change
 invalidates the whole cache rather than serving stale results.
 """
@@ -37,14 +37,14 @@ import tempfile
 import time
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..sim.stats import StatsRegistry
-from ..system.config import FaultConfig, parse_link_down, scaled_config
+from ..system.config import SystemConfig, TraceConfig
 from ..workloads import APPLICATIONS, MICROBENCHMARKS
 from .report import ConfigResult, WorkloadResult
 
@@ -63,41 +63,6 @@ class SweepError(RuntimeError):
     """A sweep cell could not be described or executed."""
 
 
-#: CellSpec.kwargs keys that override SystemConfig fields (shard-count
-#: and fabric-topology sweep axes) instead of parameterizing the
-#: workload generator
-CONFIG_KWARGS = ("llc_shards", "shard_interleave", "topology",
-                 "num_sockets", "mesh_hop_latency", "switch_latency",
-                 "cross_socket_latency", "cross_socket_return_latency",
-                 "request_policy", "owner_pred")
-
-#: CellSpec.kwargs keys that configure unreliable-fabric fault
-#: injection (sweep axes ``--loss``/``--dup``/``--reorder-*``/
-#: ``--link-down``); like CONFIG_KWARGS they flow into
-#: ``system_config()`` and are stripped from the generator's kwargs.
-#: ``link_down`` rides as raw ``START:LENGTH[:SRC[:DST]]`` spec strings
-#: so the spec stays hashable and JSON-canonical.
-FAULT_KWARGS = ("loss", "dup", "reorder_prob", "reorder_window",
-                "link_down", "fault_seed")
-
-
-def _fault_overrides(kwargs: Mapping[str, object]):
-    """Build the cell's FaultConfig from FAULT_KWARGS, or ``None``."""
-    if not any(key in kwargs for key in FAULT_KWARGS):
-        return None
-    window = int(kwargs.get("reorder_window", 0))
-    prob = float(kwargs.get("reorder_prob", 0.0))
-    if prob > 0 and window <= 0:
-        window = 64
-    return FaultConfig(
-        seed=int(kwargs.get("fault_seed", 0)),
-        drop_prob=float(kwargs.get("loss", 0.0)),
-        dup_prob=float(kwargs.get("dup", 0.0)),
-        reorder_prob=prob, reorder_window=window,
-        link_down=tuple(parse_link_down(str(spec))
-                        for spec in kwargs.get("link_down", ())))
-
-
 # ---------------------------------------------------------------------------
 # cell specification
 # ---------------------------------------------------------------------------
@@ -105,24 +70,22 @@ def _fault_overrides(kwargs: Mapping[str, object]):
 class CellSpec:
     """One (workload, configuration) grid cell, in picklable form.
 
-    ``kwargs`` is a sorted tuple of (name, value) pairs so the spec is
-    hashable and its JSON form is canonical.  ``generator_ref`` (a
+    ``config`` is the finished :class:`SystemConfig` (frozen, so the
+    spec stays hashable; ``asdict(config)`` is the cache-key payload).
+    ``kwargs`` is a sorted tuple of (name, value) generator parameters
+    so the spec's JSON form is canonical; the generator also receives
+    the config's device counts.  ``generator_ref`` (a
     ``module:qualname`` string) lets non-registry generators ride
     through the pool; registry workloads resolve by name alone.
-
-    Keys in :data:`CONFIG_KWARGS` parameterize the *system* (shard
-    count, fabric topology) rather than the workload: they flow into
-    ``system_config()`` — and therefore the cache key — but are
-    stripped before the generator is called.
     """
 
     workload: str
-    config: str
+    config: SystemConfig
     kwargs: Tuple[Tuple[str, object], ...] = ()
     generator_ref: Optional[str] = None
 
     @classmethod
-    def make(cls, workload: str, config: str,
+    def make(cls, workload: str, config: SystemConfig,
              kwargs: Optional[Mapping[str, object]] = None,
              generator: Optional[Callable] = None) -> "CellSpec":
         ref = None
@@ -133,14 +96,11 @@ class CellSpec:
                    kwargs=tuple(sorted((kwargs or {}).items())),
                    generator_ref=ref)
 
-    def kwargs_dict(self) -> Dict[str, object]:
-        return dict(self.kwargs)
-
     def workload_kwargs(self) -> Dict[str, object]:
-        """The kwargs the workload generator accepts (system-config
-        overrides like ``llc_shards`` and fault axes are stripped)."""
-        return {key: value for key, value in self.kwargs
-                if key not in CONFIG_KWARGS and key not in FAULT_KWARGS}
+        """The generator's arguments: ``kwargs`` plus the config's
+        device counts (a count repeated in ``kwargs`` raises)."""
+        return dict(num_cpus=self.config.num_cpus,
+                    num_gpus=self.config.num_gpus, **dict(self.kwargs))
 
     def resolve_generator(self) -> Callable:
         if self.generator_ref is not None:
@@ -156,23 +116,12 @@ class CellSpec:
                 f"unknown workload {self.workload!r} and no "
                 "generator_ref to import") from None
 
-    def system_config(self):
-        kwargs = self.kwargs_dict()
-        overrides = {key: kwargs[key] for key in CONFIG_KWARGS
-                     if key in kwargs}
-        faults = _fault_overrides(kwargs)
-        if faults is not None:
-            overrides["faults"] = faults
-        return scaled_config(self.config,
-                             int(kwargs.get("num_cpus", 4)),
-                             int(kwargs.get("num_gpus", 4)),
-                             **overrides)
 
-
-def grid_specs(workloads: Iterable[str], configs: Iterable[str],
+def grid_specs(workloads: Iterable[str], configs: Iterable[SystemConfig],
                kwargs: Optional[Mapping[str, object]] = None
                ) -> List[CellSpec]:
     """The full cross product, workload-major (figure order)."""
+    configs = list(configs)
     return [CellSpec.make(w, c, kwargs)
             for w in workloads for c in configs]
 
@@ -205,9 +154,9 @@ def cell_key(spec: CellSpec, validate_memory: bool = True,
     """Content hash identifying one cell's result."""
     payload = {
         "workload": spec.workload,
-        "kwargs": spec.kwargs_dict(),
+        "kwargs": dict(spec.kwargs),
         "generator_ref": spec.generator_ref,
-        "config": asdict(spec.system_config()),
+        "config": asdict(spec.config),
         "validate_memory": bool(validate_memory),
         "max_events": int(max_events),
         "code": code_fingerprint(),
@@ -240,13 +189,9 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     reference = workload.reference() if validate_memory else None
 
     from ..system.builder import build_system
-    config = spec.system_config()
+    config = spec.config
     if trace_dir is not None:
-        import dataclasses
-
-        from ..system.config import TraceConfig
-        config = dataclasses.replace(
-            config, trace=TraceConfig(monitor_interval=5000))
+        config = replace(config, trace=TraceConfig(monitor_interval=5000))
     system = build_system(config)
     system.load_workload(workload)
     run = system.run(max_events=max_events)
@@ -257,7 +202,7 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
                         for addr, value in reference.memory.items())
     payload: Dict[str, object] = {
         "workload": spec.workload,
-        "config": spec.config,
+        "config": config.name,
         "cycles": run.cycles,
         "network_bytes": run.network_bytes,
         "traffic": run.traffic_by_class(),
@@ -269,12 +214,12 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
         from ..obs import (prometheus_exposition, telemetry_payload,
                            write_chrome_trace)
         key12 = cell_key(spec, validate_memory, max_events)[:12]
-        stem = f"{spec.workload}-{spec.config}-{key12}"
+        stem = f"{spec.workload}-{config.name}-{key12}"
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
         trace_path = root / f"{stem}.trace.json"
         write_chrome_trace(str(trace_path), [{
-            "name": f"{spec.workload}/{spec.config}",
+            "name": f"{spec.workload}/{config.name}",
             "events": system.tracer.events(),
         }])
         payload["trace_artifact"] = str(trace_path)
@@ -404,7 +349,7 @@ class CellResult:
 
     @property
     def config(self) -> str:
-        return self.spec.config
+        return self.spec.config.name
 
     @property
     def cycles(self) -> int:
@@ -457,7 +402,7 @@ class CellError:
 
     @property
     def config(self) -> str:
-        return self.spec.config
+        return self.spec.config.name
 
     def describe(self) -> str:
         note = f" after {self.attempts} attempts" if self.attempts > 1 else ""
@@ -526,6 +471,7 @@ class SweepSummary:
 
     def to_json(self) -> Dict[str, object]:
         return {
+            "code": code_fingerprint(),
             "jobs": self.jobs,
             "cells": len(self.cells),
             "cache_hits": self.cache_hits,
@@ -544,6 +490,7 @@ class SweepSummary:
                     "wall_time": cell.wall_time,
                     "from_cache": cell.from_cache,
                     "key": cell.key,
+                    "system_config": asdict(cell.spec.config),
                 }
                 for cell in self.cells
             ],

@@ -40,9 +40,9 @@ from .obs import (format_health, format_timeline, load_chrome_trace,
                   validate_chrome_trace, write_chrome_trace)
 from .obs.monitor import MAX_SAMPLES
 from .sim.engine import SimulationError
-from .system import (CONFIG_ORDER, CONFIGS, FaultConfig, TraceConfig,
-                     WatchdogConfig, build_system, parse_link_down,
-                     scaled_config)
+from .system import (CONFIG_ORDER, CONFIGS, FaultConfig, SystemConfig,
+                     TraceConfig, WatchdogConfig, build_system,
+                     parse_link_down, scaled_config)
 from .verify import (CORPUS, CoverageRecorder, DfsExplorer,
                      RandomWalkExplorer, coverage_report, format_coverage,
                      replay_schedule, scenario_by_name, shrink_failure)
@@ -69,9 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     run.add_argument("--config", default="SDD",
                      choices=list(CONFIG_ORDER) + ["all"])
-    run.add_argument("--cpus", type=int, default=2)
-    run.add_argument("--gpus", type=int, default=4)
-    run.add_argument("--warps", type=int, default=2)
+    _add_scale_options(run, cpus=2)
     run.add_argument("--check", action="store_true",
                      help="validate final memory against the DRF "
                           "reference executor")
@@ -149,17 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               ("figure3", APPLICATIONS)):
         fig = sub.add_parser(figure,
                              help=f"regenerate the paper's {figure}")
-        fig.add_argument("--cpus", type=int, default=4)
-        fig.add_argument("--gpus", type=int, default=4)
-        fig.add_argument("--warps", type=int, default=2)
+        _add_scale_options(fig)
         _add_fabric_options(fig)
         _add_sweep_options(fig)
 
     head = sub.add_parser("headline",
                           help="Sbest-vs-Hbest summary (paper abstract)")
-    head.add_argument("--cpus", type=int, default=4)
-    head.add_argument("--gpus", type=int, default=4)
-    head.add_argument("--warps", type=int, default=2)
+    _add_scale_options(head)
     _add_fabric_options(head)
     _add_sweep_options(head)
 
@@ -171,9 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--configs", default="all",
                        help="comma-separated configuration names "
                             "(default: all six)")
-    sweep.add_argument("--cpus", type=int, default=4)
-    sweep.add_argument("--gpus", type=int, default=4)
-    sweep.add_argument("--warps", type=int, default=2)
+    _add_scale_options(sweep)
     _add_fabric_options(sweep)
     sweep.add_argument("--fault-seed", type=int, default=None,
                        metavar="SEED",
@@ -229,9 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     save = sub.add_parser("save", help="serialize a workload's traces")
     save.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     save.add_argument("path")
-    save.add_argument("--cpus", type=int, default=2)
-    save.add_argument("--gpus", type=int, default=4)
-    save.add_argument("--warps", type=int, default=2)
+    _add_scale_options(save, cpus=2)
 
     replay = sub.add_parser("replay", help="run serialized traces")
     replay.add_argument("path")
@@ -284,9 +274,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_scale_options(parser: argparse.ArgumentParser, cpus: int = 4,
+                       gpus: int = 4) -> None:
+    """Device counts and warps per CU (run, figures, sweep, save)."""
+    parser.add_argument("--cpus", type=int, default=cpus)
+    parser.add_argument("--gpus", type=int, default=gpus)
+    parser.add_argument("--warps", type=int, default=2)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
-    """Shard-count / fabric-topology axes (run, sweep, figures)."""
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
+    """Shard-count / fabric-topology axes (run, sweep, figures).  The
+    defaults equal the ``SystemConfig`` defaults."""
+    parser.add_argument("--shards", type=_positive_int, default=1,
+                        metavar="N",
                         help="address-interleaved Spandex home shards "
                              "(1 = the single historical LLC; "
                              "hierarchical configs ignore this)")
@@ -352,12 +359,14 @@ def _unreliable_requested(args) -> bool:
 
 
 def _fault_config(args) -> Optional[FaultConfig]:
-    """The run's FaultConfig: ``--faults`` stress timing faults plus
-    any unreliable-fabric axes, or ``None`` when nothing is enabled."""
-    if args.faults is None and not _unreliable_requested(args):
+    """The one flags -> FaultConfig path: ``run --faults`` stress timing
+    faults plus any unreliable-fabric axes (seeded by ``sweep
+    --fault-seed``), or ``None`` when nothing is enabled."""
+    stress = getattr(args, "faults", None)
+    if stress is None and not _unreliable_requested(args):
         return None
-    base = (FaultConfig.stress(args.faults) if args.faults is not None
-            else FaultConfig(seed=0))
+    base = (FaultConfig.stress(stress) if stress is not None
+            else FaultConfig(seed=getattr(args, "fault_seed", None) or 0))
     if not _unreliable_requested(args):
         return base
     window = args.reorder_window
@@ -370,41 +379,17 @@ def _fault_config(args) -> Optional[FaultConfig]:
                         for spec in args.link_down))
 
 
-def _fault_kwargs(args) -> dict:
-    """Unreliable-fabric settings as hashable CellSpec kwargs
-    (``link_down`` rides as raw spec strings; workers re-parse)."""
-    kwargs = {}
-    if args.loss:
-        kwargs["loss"] = args.loss
-    if args.dup:
-        kwargs["dup"] = args.dup
-    if args.reorder_prob:
-        kwargs["reorder_prob"] = args.reorder_prob
-    if args.reorder_window:
-        kwargs["reorder_window"] = args.reorder_window
-    if args.link_down:
-        kwargs["link_down"] = tuple(args.link_down)
-    if kwargs and getattr(args, "fault_seed", None) is not None:
-        kwargs["fault_seed"] = args.fault_seed
-    return kwargs
-
-
-def _fabric_overrides(args) -> dict:
-    """Non-default fabric settings as SystemConfig override kwargs."""
-    overrides = {}
-    if getattr(args, "shards", 1) != 1:
-        overrides["llc_shards"] = args.shards
-    if getattr(args, "interleave", "line") != "line":
-        overrides["shard_interleave"] = args.interleave
-    if getattr(args, "topology", "p2p") != "p2p":
-        overrides["topology"] = args.topology
-    if getattr(args, "sockets", 2) != 2:
-        overrides["num_sockets"] = args.sockets
-    if getattr(args, "policy", "fixed") != "fixed":
-        overrides["request_policy"] = args.policy
-    if getattr(args, "owner_pred", False):
-        overrides["owner_pred"] = True
-    return overrides
+def _system_config(args, name: str, faults: Optional[FaultConfig],
+                   **overrides) -> SystemConfig:
+    """The one flags -> SystemConfig path (run, figures, headline,
+    sweep)."""
+    return scaled_config(name, args.cpus, args.gpus,
+                         llc_shards=args.shards,
+                         shard_interleave=args.interleave,
+                         topology=args.topology, num_sockets=args.sockets,
+                         request_policy=args.policy,
+                         owner_pred=args.owner_pred, faults=faults,
+                         **overrides)
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
@@ -468,22 +453,15 @@ def _cmd_run(args) -> int:
         print(f"bad fault option: {exc}", file=sys.stderr)
         return 2
 
-    def system_config(config_name: str):
-        config = scaled_config(config_name, args.cpus, args.gpus)
-        replacements = _fabric_overrides(args)
-        if faults is not None:
-            replacements["faults"] = faults
-        if args.watchdog_cycles is not None:
-            replacements["watchdog"] = WatchdogConfig(
-                stall_cycles=args.watchdog_cycles)
-        if tracing:
-            replacements["trace"] = TraceConfig(
-                filters=tuple(args.trace_filter),
-                monitor_interval=monitor_interval,
-                health_top_k=args.top if args.top > 0 else 8)
-        if replacements:
-            config = dataclasses.replace(config, **replacements)
-        return config
+    overrides = {}
+    if args.watchdog_cycles is not None:
+        overrides["watchdog"] = WatchdogConfig(
+            stall_cycles=args.watchdog_cycles)
+    if tracing:
+        overrides["trace"] = TraceConfig(
+            filters=tuple(args.trace_filter),
+            monitor_interval=monitor_interval,
+            health_top_k=args.top if args.top > 0 else 8)
 
     workload = fresh_workload()
     reference = workload.reference() if args.check else None
@@ -503,7 +481,8 @@ def _cmd_run(args) -> int:
     trace_sections = []
     for config_name in configs:
         workload = fresh_workload()
-        system = build_system(system_config(config_name))
+        system = build_system(
+            _system_config(args, config_name, faults, **overrides))
         system.load_workload(workload)
         checker: Optional[InvariantChecker] = None
         if args.invariants:
@@ -550,8 +529,7 @@ def _cmd_run(args) -> int:
             line += f"  memory: {'OK' if bad == 0 else f'{bad} BAD'}"
         if checker is not None:
             line += f"  invariants: OK ({checker.audits} audits)"
-        if getattr(args, "policy", "fixed") != "fixed" \
-                or getattr(args, "owner_pred", False):
+        if args.policy != "fixed" or args.owner_pred:
             line += (f"  policy[{args.policy}]: "
                      f"{system.stats.get('tu.fwd_direct'):.0f} "
                      f"wtfwd_conversions, "
@@ -635,10 +613,10 @@ def _run_grid(args, workload_names) -> "SweepSummary":
     the pool ``len(workloads) * len(configs)`` independent cells, so
     ``--jobs`` scales past the six configurations.
     """
-    specs = grid_specs(workload_names, CONFIG_ORDER,
-                       dict(num_cpus=args.cpus, num_gpus=args.gpus,
-                            warps_per_cu=args.warps,
-                            **_fabric_overrides(args)))
+    specs = grid_specs(workload_names,
+                       [_system_config(args, name, None)
+                        for name in CONFIG_ORDER],
+                       dict(warps_per_cu=args.warps))
     return run_sweep(specs, jobs=args.jobs, cache=_sweep_cache(args),
                      cell_timeout=args.cell_timeout,
                      cell_retries=args.cell_retries)
@@ -692,19 +670,15 @@ def _cmd_sweep(args) -> int:
         print(f"unknown config(s): {', '.join(bad)} "
               f"(try: {', '.join(CONFIG_ORDER)})", file=sys.stderr)
         return 2
-    from .analysis.sweep import _fault_overrides
-
-    fault_kwargs = _fault_kwargs(args)
     try:
-        _fault_overrides(fault_kwargs)      # validate before the pool
+        faults = _fault_config(args)
     except ValueError as exc:
         print(f"bad fault option: {exc}", file=sys.stderr)
         return 2
-    specs = grid_specs(names, configs,
-                       dict(num_cpus=args.cpus, num_gpus=args.gpus,
-                            warps_per_cu=args.warps,
-                            **_fabric_overrides(args),
-                            **fault_kwargs))
+    specs = grid_specs(names,
+                       [_system_config(args, name, faults)
+                        for name in configs],
+                       dict(warps_per_cu=args.warps))
     summary = run_sweep(specs, jobs=args.jobs, cache=_sweep_cache(args),
                         validate_memory=not args.no_check,
                         cell_timeout=args.cell_timeout,

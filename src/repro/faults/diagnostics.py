@@ -7,9 +7,9 @@ bug reads identically no matter which detector fired first.
 
 :func:`collect_diagnostic` returns a JSON-safe dict (tests and tooling
 consume it); :func:`format_diagnostic` renders it for humans.  Both
-duck-type the system object (``cpu_l1s`` / ``gpu_l1s`` / ``llc`` /
-``gpu_l2`` / ``network`` / ``engine``) so miniature test harnesses work
-as well as fully built systems.
+duck-type the system object (``cpu_l1s`` / ``gpu_l1s`` / ``homes()`` /
+``network`` / ``engine``) so miniature test harnesses work as well as
+fully built systems.
 """
 
 from __future__ import annotations
@@ -27,21 +27,6 @@ TRACE_TAIL_EVENTS = 50
 def _l1s(system) -> List:
     return list(getattr(system, "cpu_l1s", [])) + \
         list(getattr(system, "gpu_l1s", []))
-
-
-def _homes(system) -> List:
-    homes = []
-    gpu_l2 = getattr(system, "gpu_l2", None)
-    if gpu_l2 is not None:
-        homes.append(gpu_l2)
-    shards = getattr(system, "llcs", None)
-    if shards:
-        homes.extend(shards)
-    else:
-        llc = getattr(system, "llc", None)
-        if llc is not None:
-            homes.append(llc)
-    return homes
 
 
 def _state_name(state) -> str:
@@ -143,7 +128,7 @@ def _implicated_lines(system, stalled) -> List[int]:
             for line in mshrs.lines():
                 if line not in lines:
                     lines.append(line)
-    for home in _homes(system):
+    for home in system.homes():
         for txn in getattr(home, "_txns", {}).values():
             if txn.line not in lines:
                 lines.append(txn.line)
@@ -161,7 +146,7 @@ def collect_diagnostic(system, reason: str,
         "cycle": now,
         "stalled": list(stalled or []),
         "devices": {l1.name: _device_view(l1, now) for l1 in _l1s(system)},
-        "homes": {home.name: _home_view(home) for home in _homes(system)},
+        "homes": {home.name: _home_view(home) for home in system.homes()},
     }
     context = getattr(system, "verify_context", None)
     if context:
@@ -188,7 +173,7 @@ def collect_diagnostic(system, reason: str,
     lines: Dict[str, Dict[str, object]] = {}
     for line in implicated:
         cross: Dict[str, object] = {}
-        for holder in _l1s(system) + _homes(system):
+        for holder in _l1s(system) + system.homes():
             array = getattr(holder, "array", None)
             if array is None:
                 continue

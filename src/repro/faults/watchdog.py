@@ -39,17 +39,6 @@ def _l1s(system) -> List:
         list(getattr(system, "gpu_l1s", []))
 
 
-def _homes(system) -> List:
-    homes = []
-    gpu_l2 = getattr(system, "gpu_l2", None)
-    if gpu_l2 is not None:
-        homes.append(gpu_l2)
-    llc = getattr(system, "llc", None)
-    if llc is not None:
-        homes.append(llc)
-    return homes
-
-
 def system_busy(system) -> bool:
     """Does any layer still have unfinished protocol work?"""
     for core in getattr(system, "cpus", []):
@@ -61,7 +50,7 @@ def system_busy(system) -> bool:
     for l1 in _l1s(system):
         if getattr(l1, "_inflight", None) or l1.outstanding():
             return True
-    for home in _homes(system):
+    for home in system.homes():
         if getattr(home, "_txns", None) or \
                 getattr(home, "_deferred", None) or \
                 getattr(home, "_fetching", None):

@@ -326,3 +326,6 @@ class _BareSystem:
     def __init__(self, network: ReliableNetwork):
         self.engine = network.engine
         self.network = network
+
+    def homes(self) -> list:
+        return []

@@ -85,10 +85,7 @@ class HealthMonitor:
         self._next_due = self.interval
         self._last_events = 0
         self._last_ts = 0
-        self._homes = [home for home in
-                       list(getattr(system, "llcs", []))
-                       + [getattr(system, "gpu_l2", None)]
-                       if home is not None]
+        self._homes = system.homes()
         self._l1s = [l1 for l1 in
                      list(getattr(system, "cpu_l1s", []))
                      + list(getattr(system, "gpu_l1s", []))

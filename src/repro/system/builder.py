@@ -326,14 +326,16 @@ class System:
         for cu, warp_traces in zip(self.gpus, workload.gpu_traces):
             cu.warps = [Warp(t) for t in warp_traces]
 
+    def homes(self) -> List:
+        """Every home: the GPU L2 (hierarchical builds), then each entry
+        of ``llcs`` (the Spandex shards, or the MESI directory L3)."""
+        return ([] if self.gpu_l2 is None else [self.gpu_l2]) + self.llcs
+
     def owner_homes(self) -> List:
         """The Spandex-style homes (those tracking per-word owners):
         the GPU L2 and every Spandex shard, never the MESI directory."""
-        homes = [] if self.gpu_l2 is None else [self.gpu_l2]
-        for shard in self.llcs:
-            if hasattr(shard, "_owned_mask"):
-                homes.append(shard)
-        return homes
+        return [home for home in self.homes()
+                if hasattr(home, "_owned_mask")]
 
     def read_coherent(self, addr: int) -> int:
         """Owner-aware functional read for post-run validation.
@@ -353,9 +355,7 @@ class System:
             elif isinstance(l1, MESIL1):
                 if resident.state in (MesiState.M, MesiState.E):
                     return resident.data[index]
-        for home in [self.gpu_l2] + list(self.llcs):
-            if home is None:
-                continue
+        for home in self.homes():
             resident = home.array.lookup(line, touch=False)
             if resident is not None and \
                     resident.state != home.array.invalid_state:

@@ -147,6 +147,15 @@ def test_bad_config_rejected():
         main(["run", "BC", "--config", "XYZ"])
 
 
+@pytest.mark.parametrize("command", [["run", "ReuseS"], ["sweep", "ReuseS"]])
+def test_zero_shards_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--shards", "0"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--shards" in err
+
+
 def test_save_and_replay(tmp_path, capsys):
     path = str(tmp_path / "bc.json")
     assert main(["save", "BC", path, "--cpus", "2", "--gpus", "2",

@@ -19,6 +19,7 @@ from repro.coherence.messages import Message
 
 from repro.analysis import check_final_state
 from repro.analysis.sweep import CellSpec, simulate_cell
+from repro.cli import _build_parser, _system_config
 from repro.system import (CONFIG_ORDER, SPANDEX_CONFIGS, TraceConfig,
                           build_system, scaled_config)
 from repro.system.config import FaultConfig
@@ -126,20 +127,24 @@ def test_sharded_multi_socket_under_fault_stress():
 
 # -- sweep plumbing -----------------------------------------------------------
 def test_sweep_routes_shard_axes_to_system_config():
-    spec = CellSpec.make("ReuseS", "SMG",
-                         dict(SMALL, llc_shards=2, topology="switch"))
-    config = spec.system_config()
-    assert config.llc_shards == 2
-    assert config.topology == "switch"
-    # the generator never sees the system axes
-    assert "llc_shards" not in spec.workload_kwargs()
-    assert "topology" not in spec.workload_kwargs()
+    args = _build_parser().parse_args(
+        ["sweep", "--cpus", "2", "--gpus", "2", "--shards", "2",
+         "--topology", "switch"])
+    spec = CellSpec.make("ReuseS", _system_config(args, "SMG", None),
+                         dict(warps_per_cu=1))
+    assert spec.config.llc_shards == 2
+    assert spec.config.topology == "switch"
+    # the generator receives only kwargs plus the config's device counts
+    assert spec.workload_kwargs() == dict(num_cpus=2, num_gpus=2,
+                                          warps_per_cu=1)
     result = simulate_cell(spec)
     assert result["memory_ok"] is True
 
 
 def test_sweep_cache_key_distinguishes_shard_counts():
     from repro.analysis.sweep import cell_key
-    one = CellSpec.make("ReuseS", "SMG", dict(SMALL, llc_shards=1))
-    two = CellSpec.make("ReuseS", "SMG", dict(SMALL, llc_shards=2))
+    one = CellSpec.make("ReuseS", scaled_config("SMG", 2, 2, llc_shards=1),
+                        dict(warps_per_cu=1))
+    two = CellSpec.make("ReuseS", scaled_config("SMG", 2, 2, llc_shards=2),
+                        dict(warps_per_cu=1))
     assert cell_key(one) != cell_key(two)

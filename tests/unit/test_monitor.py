@@ -30,7 +30,8 @@ def test_name_grammar_enforced():
 
 
 def test_gauge_keeps_last_value_and_peak_per_series():
-    monitor = HealthMonitor(SimpleNamespace(network=None), interval=10)
+    monitor = HealthMonitor(SimpleNamespace(network=None, homes=list),
+                            interval=10)
     llc0 = (("home", "llc0"),)
     monitor._set("home.queue_depth", llc0, 7)
     monitor._set("home.queue_depth", llc0, 3)
@@ -189,11 +190,12 @@ def test_monitor_ignores_events_before_interval():
         engine = _Engine()
         network = _Network()
         stats = StatsRegistry()
-        llcs = ()
-        gpu_l2 = None
         cpu_l1s = ()
         gpu_l1s = ()
         spans = None
+
+        def homes(self):
+            return []
 
     monitor = HealthMonitor(_System(), interval=100)
     monitor(TraceEvent(5, "net.send", "a"))

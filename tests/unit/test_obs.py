@@ -303,7 +303,7 @@ def test_metrics_sample_on_epoch_boundaries():
     stats = StatsRegistry()
     engine = Engine()
     system = SimpleNamespace(
-        engine=engine, stats=stats,
+        engine=engine, stats=stats, homes=list,
         network=Network(engine, stats, LatencyModel()))
     monitor = HealthMonitor(system, interval=100)
     recorder = make_recorder()

@@ -9,37 +9,47 @@ from repro.analysis import ExperimentRunner
 from repro.analysis.sweep import (CellSpec, ResultCache, SweepError,
                                   cell_key, code_fingerprint, grid_specs,
                                   run_sweep, simulate_cell)
+from repro.cli import main
 from repro.sim.stats import LatencySampler, StatsRegistry
+from repro.system import scaled_config
 from repro.workloads import MICROBENCHMARKS
 from repro.workloads.synthetic import make_local_sync
 
-SMALL = dict(num_cpus=2, num_gpus=2, warps_per_cu=1)
+SMALL = dict(warps_per_cu=1)
+SDD = scaled_config("SDD", 2, 2)
+HMG = scaled_config("HMG", 2, 2)
 
 #: a deliberately tiny grid so the whole file stays fast
-TINY_SPECS = grid_specs(["ReuseS"], ["SDD", "HMG"], SMALL)
+TINY_SPECS = grid_specs(["ReuseS"], [SDD, HMG], SMALL)
 
 
 # -- specs and keys ------------------------------------------------------------
 def test_grid_specs_cross_product_order():
-    specs = grid_specs(["A", "B"], ["SDD", "HMG"])
-    assert [(s.workload, s.config) for s in specs] == \
+    specs = grid_specs(["A", "B"], [SDD, HMG])
+    assert [(s.workload, s.config.name) for s in specs] == \
         [("A", "SDD"), ("A", "HMG"), ("B", "SDD"), ("B", "HMG")]
 
 
 def test_cell_spec_kwargs_are_canonical():
-    a = CellSpec.make("ReuseS", "SDD", dict(num_cpus=2, num_gpus=4))
-    b = CellSpec.make("ReuseS", "SDD", dict(num_gpus=4, num_cpus=2))
+    a = CellSpec.make("ReuseS", SDD, dict(warps_per_cu=1, seed=3))
+    b = CellSpec.make("ReuseS", SDD, dict(seed=3, warps_per_cu=1))
     assert a == b
     assert cell_key(a) == cell_key(b)
 
 
+def test_generator_receives_kwargs_plus_config_device_counts():
+    spec = CellSpec.make("ReuseS", scaled_config("SMG", 2, 3), SMALL)
+    assert spec.workload_kwargs() == dict(num_cpus=2, num_gpus=3,
+                                          warps_per_cu=1)
+
+
 def test_cell_key_distinguishes_cells():
-    base = CellSpec.make("ReuseS", "SDD", SMALL)
+    base = CellSpec.make("ReuseS", SDD, SMALL)
     keys = {
         cell_key(base),
-        cell_key(CellSpec.make("ReuseS", "HMG", SMALL)),
-        cell_key(CellSpec.make("ReuseO", "SDD", SMALL)),
-        cell_key(CellSpec.make("ReuseS", "SDD",
+        cell_key(CellSpec.make("ReuseS", HMG, SMALL)),
+        cell_key(CellSpec.make("ReuseO", SDD, SMALL)),
+        cell_key(CellSpec.make("ReuseS", SDD,
                                dict(SMALL, warps_per_cu=2))),
         cell_key(base, validate_memory=False),
         cell_key(base, max_events=123),
@@ -53,13 +63,13 @@ def test_code_fingerprint_is_stable():
 
 
 def test_registry_generator_resolution():
-    spec = CellSpec.make("ReuseS", "SDD", SMALL)
+    spec = CellSpec.make("ReuseS", SDD, SMALL)
     assert spec.generator_ref is None
     assert spec.resolve_generator() is MICROBENCHMARKS["ReuseS"]
 
 
 def test_non_registry_generator_roundtrips_by_ref():
-    spec = CellSpec.make("LocalSync", "SDD", SMALL,
+    spec = CellSpec.make("LocalSync", SDD, SMALL,
                          generator=make_local_sync)
     assert spec.generator_ref == \
         "repro.workloads.synthetic:make_local_sync"
@@ -68,7 +78,7 @@ def test_non_registry_generator_roundtrips_by_ref():
 
 def test_unknown_workload_without_ref_raises():
     with pytest.raises(SweepError):
-        CellSpec.make("NotAWorkload", "SDD").resolve_generator()
+        CellSpec.make("NotAWorkload", SDD).resolve_generator()
 
 
 # -- the cache -----------------------------------------------------------------
@@ -167,6 +177,19 @@ def test_summary_grouping_and_counters(tmp_path):
     assert payload["cells"] == 2 and len(payload["results"]) == 2
 
 
+def test_sweep_json_describes_each_cell(capsys):
+    assert main(["sweep", "ReuseS", "--configs", "SDD", "--cpus", "2",
+                 "--gpus", "2", "--warps", "1", "--shards", "2",
+                 "--loss", "0.02", "--json", "--no-cache"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["code"] == code_fingerprint()
+    (result,) = payload["results"]
+    assert result["memory_ok"] is True
+    assert result["system_config"]["name"] == "SDD"
+    assert result["system_config"]["llc_shards"] == 2
+    assert result["system_config"]["faults"]["drop_prob"] == 0.02
+
+
 def test_progress_callback_sees_every_cell(tmp_path):
     seen = []
     run_sweep(TINY_SPECS, jobs=1, cache=None,
@@ -176,14 +199,16 @@ def test_progress_callback_sees_every_cell(tmp_path):
 
 # -- the rewired ExperimentRunner ---------------------------------------------
 def test_experiment_runner_on_sweep(tmp_path):
-    runner = ExperimentRunner(**SMALL, configs=["SDD", "HMG"],
+    runner = ExperimentRunner(num_cpus=2, num_gpus=2, warps_per_cu=1,
+                              configs=["SDD", "HMG"],
                               cache=ResultCache(tmp_path))
     result = runner.run("ReuseS", MICROBENCHMARKS["ReuseS"])
     assert list(result.results) == ["SDD", "HMG"]
     assert runner.last_sweep is not None
     assert runner.last_sweep.simulated == 2
     # a second runner over the same cache re-simulates nothing
-    runner2 = ExperimentRunner(**SMALL, configs=["SDD", "HMG"],
+    runner2 = ExperimentRunner(num_cpus=2, num_gpus=2, warps_per_cu=1,
+                               configs=["SDD", "HMG"],
                                cache=ResultCache(tmp_path))
     result2 = runner2.run("ReuseS", MICROBENCHMARKS["ReuseS"])
     assert runner2.last_sweep.cache_hits == 2
@@ -191,8 +216,8 @@ def test_experiment_runner_on_sweep(tmp_path):
 
 
 def test_experiment_runner_extra_kwargs_change_key():
-    a = CellSpec.make("ReuseS", "SDD", dict(SMALL))
-    b = CellSpec.make("ReuseS", "SDD", dict(SMALL, use_regions=True))
+    a = CellSpec.make("ReuseS", SDD, dict(SMALL))
+    b = CellSpec.make("ReuseS", SDD, dict(SMALL, use_regions=True))
     assert cell_key(a) != cell_key(b)
 
 

@@ -17,9 +17,12 @@ import pytest
 from repro.analysis.report import (ConfigResult, WorkloadResult,
                                    format_figure)
 from repro.analysis.sweep import CellSpec, ResultCache, run_sweep
+from repro.cli import _build_parser, _fault_config
+from repro.system import scaled_config
 from repro.workloads import MICROBENCHMARKS
 
-SMALL = dict(num_cpus=2, num_gpus=2, warps_per_cu=1)
+SMALL = dict(warps_per_cu=1)
+SDD = scaled_config("SDD", 2, 2)
 
 
 # -- module-level generators (importable by ref in workers) -------------------
@@ -38,13 +41,13 @@ def erroring_generator(**kwargs):
 
 
 def good_spec():
-    return CellSpec.make("ReuseS", "SDD", SMALL)
+    return CellSpec.make("ReuseS", SDD, SMALL)
 
 
 # -- crashed workers ----------------------------------------------------------
 def test_crashed_cell_degrades_to_error_record():
     specs = [good_spec(),
-             CellSpec.make("Crash", "SDD", SMALL,
+             CellSpec.make("Crash", SDD, SMALL,
                            generator=crashing_generator)]
     summary = run_sweep(specs, jobs=2, cell_retries=1)
     assert [(c.workload, c.config) for c in summary.cells] == \
@@ -61,7 +64,7 @@ def test_crashed_cell_degrades_to_error_record():
 
 # -- wall-clock timeouts ------------------------------------------------------
 def test_timed_out_cell_is_terminated_and_recorded():
-    specs = [CellSpec.make("Sleeper", "SDD", SMALL,
+    specs = [CellSpec.make("Sleeper", SDD, SMALL,
                            generator=sleeping_generator)]
     started = time.perf_counter()
     summary = run_sweep(specs, jobs=1, cell_timeout=1.0, cell_retries=0)
@@ -75,7 +78,7 @@ def test_timed_out_cell_is_terminated_and_recorded():
 
 # -- deterministic exceptions -------------------------------------------------
 def test_serial_cell_exception_is_not_retried():
-    summary = run_sweep([CellSpec.make("Boom", "SDD", SMALL,
+    summary = run_sweep([CellSpec.make("Boom", SDD, SMALL,
                                        generator=erroring_generator)],
                         jobs=1, cell_retries=3)
     (error,) = summary.errors
@@ -90,9 +93,9 @@ def test_serial_cell_exception_is_not_retried():
 # -- partial grids in reports -------------------------------------------------
 def test_workload_results_carry_error_annotations():
     specs = [good_spec(),
-             CellSpec.make("ReuseS", "HMG", SMALL,
+             CellSpec.make("ReuseS", scaled_config("HMG", 2, 2), SMALL,
                            generator=erroring_generator),
-             CellSpec.make("Boom", "SDD", SMALL,
+             CellSpec.make("Boom", SDD, SMALL,
                            generator=erroring_generator)]
     summary = run_sweep(specs, jobs=1)
     by_name = {wr.workload: wr for wr in summary.workload_results()}
@@ -146,23 +149,32 @@ def test_schema_drift_entry_quarantined(tmp_path):
 
 
 # -- unreliable-fabric sweep axes ---------------------------------------------
-def _faulty_spec(**fault_kwargs):
-    return CellSpec.make("ReuseS", "SDD", dict(SMALL, **fault_kwargs))
+def _sweep_faults(*flags):
+    """The cell FaultConfig ``repro sweep`` builds from these flags."""
+    return _fault_config(_build_parser().parse_args(["sweep", *flags]))
 
 
-def test_fault_kwargs_are_stripped_from_generator_kwargs():
-    spec = _faulty_spec(loss=0.02, dup=0.01, reorder_prob=0.05,
-                       reorder_window=32, link_down=("2000:1500",),
-                       fault_seed=3)
-    assert spec.workload_kwargs() == SMALL
+def _faulty_spec(*flags):
+    return CellSpec.make(
+        "ReuseS", scaled_config("SDD", 2, 2, faults=_sweep_faults(*flags)),
+        SMALL)
 
 
-def test_fault_kwargs_build_the_cell_fault_config():
-    spec = _faulty_spec(loss=0.02, dup=0.01, reorder_prob=0.05,
-                       reorder_window=32,
-                       link_down=("2000:1500", "100:50:c0:llc*"),
-                       fault_seed=3)
-    faults = spec.system_config().faults
+def test_fault_flags_stay_out_of_generator_kwargs():
+    spec = _faulty_spec("--loss", "0.02", "--dup", "0.01",
+                        "--reorder-prob", "0.05", "--reorder-window", "32",
+                        "--link-down", "2000:1500", "--fault-seed", "3")
+    # the generator receives only kwargs plus the config's device counts
+    assert spec.workload_kwargs() == dict(SMALL, num_cpus=2, num_gpus=2)
+
+
+def test_fault_flags_build_the_cell_fault_config():
+    faults = _sweep_faults("--loss", "0.02", "--dup", "0.01",
+                           "--reorder-prob", "0.05",
+                           "--reorder-window", "32",
+                           "--link-down", "2000:1500",
+                           "--link-down", "100:50:c0:llc*",
+                           "--fault-seed", "3")
     assert faults is not None and faults.unreliable
     assert faults.seed == 3
     assert faults.drop_prob == 0.02
@@ -173,25 +185,25 @@ def test_fault_kwargs_build_the_cell_fault_config():
 
 
 def test_reorder_window_defaults_when_only_prob_given():
-    faults = _faulty_spec(reorder_prob=0.1).system_config().faults
-    assert faults.reorder_window == 64
+    assert _sweep_faults("--reorder-prob", "0.1").reorder_window == 64
 
 
 def test_plain_spec_has_no_fault_config():
-    assert good_spec().system_config().faults is None
+    assert _sweep_faults() is None
+    assert _sweep_faults("--fault-seed", "3") is None
 
 
 def test_fault_axes_change_the_cache_key():
     from repro.analysis.sweep import cell_key
 
-    assert cell_key(good_spec()) != cell_key(_faulty_spec(loss=0.02))
-    assert cell_key(_faulty_spec(loss=0.02)) != \
-        cell_key(_faulty_spec(loss=0.02, fault_seed=9))
+    assert cell_key(good_spec()) != cell_key(_faulty_spec("--loss", "0.02"))
+    assert cell_key(_faulty_spec("--loss", "0.02")) != \
+        cell_key(_faulty_spec("--loss", "0.02", "--fault-seed", "9"))
 
 
 def test_faulty_cell_simulates_and_validates_memory():
-    summary = run_sweep([_faulty_spec(loss=0.02, dup=0.02,
-                                      fault_seed=1)], jobs=1)
+    summary = run_sweep([_faulty_spec("--loss", "0.02", "--dup", "0.02",
+                                      "--fault-seed", "1")], jobs=1)
     (cell,) = summary.cells
     assert cell.memory_ok is True
     assert cell.stats().get("transport.acks") > 0

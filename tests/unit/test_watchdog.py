@@ -11,6 +11,7 @@ from repro.coherence.messages import MsgKind
 from repro.faults import (DeadlockError, LivenessWatchdog,
                           format_diagnostic, system_busy)
 from repro.sim.engine import Engine, SimulationError
+from repro.system import build_system, scaled_config
 from tests.harness import MiniSpandex
 
 
@@ -26,6 +27,9 @@ class SystemView:
         self.gpu_l2 = None
         self.cpus = []
         self.gpus = []
+
+    def homes(self):
+        return [self.llc]
 
 
 def drop_first_response(mini, device):
@@ -73,6 +77,15 @@ def test_clean_run_passes_quiescence_check():
     mini.run()
     assert completion.done and completion.values[0] == 42
     assert not system_busy(SystemView(mini))
+
+
+def test_system_busy_sees_every_home_shard():
+    # work deferred only at the second shard of a sharded build must
+    # keep the system busy (the watchdog once looked at ``llc`` alone)
+    system = build_system(scaled_config("SDD", 2, 2, llc_shards=2))
+    assert not system_busy(system)
+    system.llcs[1]._deferred[0x40] = [object()]
+    assert system_busy(system)
 
 
 # -- periodic stall detector --------------------------------------------------
